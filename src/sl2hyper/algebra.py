@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+# Largest q = p**rprime a context may have: each cached q x q int64 table
+# (Pascal matrix, shift table) already takes 128 MiB at this size.
+_MAX_Q = 4096
+
+
 @functools.lru_cache(maxsize=None)
 def _pascal(p: int, size: int) -> np.ndarray:
     # C(w, n) mod p for 0 <= w, n < size; lower unitriangular.
@@ -77,6 +82,17 @@ class AlgebraCtx:
     rprime: int
 
     def __post_init__(self):
+        # bound q step by step, so neither a huge rprime nor a huge p costs
+        # anything below (p < 2 is left to the primality check)
+        if self.p > 1:
+            q = 1
+            for _ in range(max(self.rprime, 1)):
+                q *= self.p
+                if q > _MAX_Q:
+                    raise ValueError(
+                        f"context too large: need p**rprime <= {_MAX_Q}, "
+                        f"got p={self.p}, rprime={self.rprime}"
+                    )
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not 1 <= self.r <= self.rprime:
@@ -116,6 +132,7 @@ def _canon(ctx: AlgebraCtx, terms) -> dict[tuple[int, int], np.ndarray]:
         if vec.shape != (q,):
             raise ValueError(f"weight function must have length {q}")
         if vec.any():
+            vec.setflags(write=False)
             out[(m, mp_)] = vec
     return out
 
@@ -272,13 +289,14 @@ def degree_decompose(u: HyperElem) -> dict[int, HyperElem]:
 
 
 def weightfn_to_coeffs(f: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
-    """Coefficients c with f(w) = sum_n c[n] C(w, n), by forward substitution."""
-    p, q = ctx.p, ctx.q
-    pas = ctx.pascal
-    c = np.zeros(q, dtype=np.int64)
-    for n in range(q):
-        c[n] = (int(f[n]) - int(pas[n, :n] @ c[:n])) % p
-    return c
+    """Coefficients c with f(w) = sum_n c[n] C(w, n).
+
+    The inverse of the Pascal matrix C is D C D with D = diag((-1)^w), so
+    c = D C D f needs no second table.
+    """
+    p = ctx.p
+    sign = 1 - 2 * (np.arange(ctx.q, dtype=np.int64) & 1)
+    return sign * (ctx.pascal @ (sign * (np.asarray(f, dtype=np.int64) % p))) % p
 
 
 def coeffs_to_weightfn(c: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
@@ -342,14 +360,24 @@ def element_to_json(u: HyperElem) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    # JSON numbers and strings are not coerced: 1.7, true and "1" are errors
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def element_from_json(data: dict) -> HyperElem:
-    ctx = AlgebraCtx(int(data["p"]), int(data["r"]), int(data["rprime"]))
+    ctx = AlgebraCtx(*(_json_int(data[k], k) for k in ("p", "r", "rprime")))
     terms: dict[tuple[int, int], np.ndarray] = {}
     for t in data["terms"]:
-        key = (int(t["yexp"]), int(t["xexp"]))
+        key = (_json_int(t["yexp"], "yexp"), _json_int(t["xexp"], "xexp"))
         if key in terms:
             raise ValueError(f"duplicate term {key}")
-        terms[key] = np.asarray(t["h_eval"], dtype=np.int64)
+        if not isinstance(t["h_eval"], list):
+            raise ValueError(f"h_eval must be a list, got {t['h_eval']!r}")
+        vals = [_json_int(v, "h_eval entry") % ctx.p for v in t["h_eval"]]
+        terms[key] = np.array(vals, dtype=np.int64)
     return HyperElem(ctx, terms)
 
 

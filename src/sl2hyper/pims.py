@@ -6,6 +6,9 @@ idempotent generates by sparse row reduction over F_p, and the label
 bookkeeping predicts which projective indecomposable that module is from
 the case data alone: its dimension, the generator's torus weight, and the
 largest surviving X exponent.
+
+IdealBasis.add is the package's one row reduction over F_p; spans and
+ranks elsewhere (the split-product check in verify) are built through it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,28 @@ class IdealBasis:
     def dim(self) -> int:
         return len(self.rows)
 
+    def add(self, v: HyperElem) -> HyperElem | None:
+        """Reduce v into the basis with lowest-index pivoting.
+
+        Returns the new basis row as an element, or None when v already
+        lies in the span.
+        """
+        p = v.ctx.p
+        row = _elem_coords(v)
+        for pv, rw in self.rows.items():
+            if row.get(pv):
+                _sub_multiple(row, rw, row[pv], p)
+        if not row:
+            return None
+        piv = min(row)
+        inv = inv_mod_p(row[piv], p)
+        row = {c: val * inv % p for c, val in row.items()}
+        for rw in self.rows.values():
+            if rw.get(piv):
+                _sub_multiple(rw, row, rw[piv], p)
+        self.rows[piv] = row
+        return _coords_elem(row, v.ctx)
+
 
 def _elem_coords(v: HyperElem) -> dict[int, int]:
     # coordinate index of Y^(m) C(H,n) X^(m') is (m * p^r + m') * p^r' + n
@@ -103,27 +128,22 @@ def _coords_elem(row: dict[int, int], ctx: AlgebraCtx) -> HyperElem:
     return HyperElem(ctx, {k: coeffs_to_weightfn(c, ctx) for k, c in groups.items()})
 
 
-def _reduce(row: dict[int, int], rows: dict[int, dict[int, int]], p: int) -> dict[int, int]:
-    row = dict(row)
-    for pv, rw in rows.items():
-        coef = row.get(pv)
-        if not coef:
-            continue
-        for c, val in rw.items():
-            nv = (row.get(c, 0) - coef * val) % p
-            if nv:
-                row[c] = nv
-            else:
-                row.pop(c, None)
-    return row
+def _sub_multiple(row: dict[int, int], other: dict[int, int], coef: int, p: int) -> None:
+    # row -= coef * other over F_p, in place, keeping row sparse
+    for c, val in other.items():
+        nv = (row.get(c, 0) - coef * val) % p
+        if nv:
+            row[c] = nv
+        else:
+            row.pop(c, None)
 
 
 def left_ideal_span(e: HyperElem) -> IdealBasis:
     """Echelon basis of the left ideal generated by e.
 
     Closure under left multiplication by the algebra generators
-    X^(p^i), Y^(p^i) (i < r) and C(H, p^l) (l < rprime), with deterministic
-    lowest-index pivoting.
+    X^(p^i), Y^(p^i) (i < r) and C(H, p^l) (l < rprime): every new basis
+    row is multiplied by each generator and fed back to IdealBasis.add.
     """
     if e.is_zero():
         raise ValueError("the zero element spans nothing")
@@ -132,29 +152,13 @@ def left_ideal_span(e: HyperElem) -> IdealBasis:
     gens = [gen_x(p**i, ctx) for i in range(ctx.r)]
     gens += [gen_y(p**i, ctx) for i in range(ctx.r)]
     gens += [gen_h_binom(p**l, ctx) for l in range(ctx.rprime)]
-    rows: dict[int, dict[int, int]] = {}
+    basis = IdealBasis()
     work = [e]
     while work:
-        row = _reduce(_elem_coords(work.pop()), rows, p)
-        if not row:
-            continue
-        piv = min(row)
-        inv = inv_mod_p(row[piv], p)
-        row = {c: val * inv % p for c, val in row.items()}
-        for rw in rows.values():
-            coef = rw.get(piv)
-            if not coef:
-                continue
-            for c, val in row.items():
-                nv = (rw.get(c, 0) - coef * val) % p
-                if nv:
-                    rw[c] = nv
-                else:
-                    rw.pop(c, None)
-        rows[piv] = row
-        w = _coords_elem(row, ctx)
-        work.extend(g * w for g in gens)
-    return IdealBasis(rows)
+        w = basis.add(work.pop())
+        if w is not None:
+            work.extend(g * w for g in gens)
+    return basis
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ from .idempotents import (
     z_operator,
 )
 from .pims import (
-    _elem_coords,
+    IdealBasis,
     pim_rows,
     predicted_top_x,
     predicted_weight,
@@ -423,30 +423,6 @@ def _check_oracle(ctx: AlgebraCtx, rng: random.Random, pairs_per_weight: int = 3
     return _result("multiplication-oracle", bad, f"weights 0..{2 * ctx.xy_range - 2}")
 
 
-def _rank_mod_p(rows: list[dict[int, int]], dim: int, p: int) -> int:
-    mat = np.zeros((len(rows), dim), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for c, v in row.items():
-            mat[i, c] = v
-    rank = 0
-    for col in range(dim):
-        piv = None
-        for i in range(rank, len(rows)):
-            if mat[i, col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[[rank, piv]] = mat[[piv, rank]]
-        mat[rank] = mat[rank] * pow(int(mat[rank, col]), p - 2, p) % p
-        mask = np.arange(len(rows)) != rank
-        mat[mask] = (mat[mask] - np.outer(mat[mask, col], mat[rank])) % p
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _check_product_independence(p: int) -> CheckResult:
     # products of the depth-1 basis with the exponent-raised depth-1 basis
     # span the depth-2 algebra
@@ -454,7 +430,7 @@ def _check_product_independence(p: int) -> CheckResult:
         return CheckResult("split-product-independence", True, "skipped for p > 3 (size)")
     big = AlgebraCtx(p, 2, 2)
     small = AlgebraCtx(p, 1, 1)
-    rows = []
+    basis = IdealBasis()
     for m1 in range(p):
         for n1 in range(p):
             for m1p in range(p):
@@ -462,10 +438,8 @@ def _check_product_independence(p: int) -> CheckResult:
                 for m2 in range(p):
                     for n2 in range(p):
                         for m2p in range(p):
-                            v = fr_prime(pbw_elem(m2, n2, m2p, small))
-                            rows.append(_elem_coords(u * v))
-    dim = big.xy_range**2 * big.q
-    rank = _rank_mod_p(rows, dim, p)
+                            basis.add(u * fr_prime(pbw_elem(m2, n2, m2p, small)))
+    rank = basis.dim
     ok = rank == p**6
     return _result(
         "split-product-independence",

@@ -45,6 +45,10 @@ def test_ctx_validation():
         AlgebraCtx(3, 2, 1)
     with pytest.raises(ValueError):
         AlgebraCtx(3, 0, 1)
+    assert AlgebraCtx(2, 1, 12).q == 4096
+    for args in [(2, 1, 13), (4099, 1, 1), (3, 1, 10**9)]:
+        with pytest.raises(ValueError, match="4096"):
+            AlgebraCtx(*args)
 
 
 def test_constructors():
@@ -233,27 +237,6 @@ def test_p_divided_powers_centralize():
                     assert u * a == a * u
 
 
-def test_split_product_independence():
-    # the depth-1 basis times the exponent-raised depth-1 basis is independent
-    from sl2hyper.pims import _elem_coords
-    from sl2hyper.verify import _rank_mod_p
-
-    for p in (2, 3):
-        big = AlgebraCtx(p, 2, 2)
-        small = AlgebraCtx(p, 1, 1)
-        rows = []
-        for m1 in range(p):
-            for n1 in range(p):
-                for m1p in range(p):
-                    u = pbw_elem(m1, n1, m1p, big)
-                    for m2 in range(p):
-                        for n2 in range(p):
-                            for m2p in range(p):
-                                v = fr_prime(pbw_elem(m2, n2, m2p, small))
-                                rows.append(_elem_coords(u * v))
-        assert _rank_mod_p(rows, big.xy_range**2 * big.q, p) == p**6
-
-
 def test_json_round_trip():
     rng = random.Random(SEED)
     for ctx in (AlgebraCtx(2, 1, 2), AlgebraCtx(3, 2, 2)):
@@ -266,6 +249,20 @@ def test_json_round_trip():
     d["terms"].append(dict(d["terms"][0]))
     with pytest.raises(ValueError):
         element_from_json(d)
+    # exponents, context sizes and weight-function entries must be real ints
+    good = {"p": 2, "r": 1, "rprime": 1, "terms": [{"yexp": 1, "xexp": 1, "h_eval": [0, 1]}]}
+    assert element_from_json(good) == pbw_elem(1, 1, 1, AlgebraCtx(2, 1, 1))
+    for bad in (1.7, True, "1", None):
+        for key in ("p", "r", "rprime"):
+            with pytest.raises(ValueError):
+                element_from_json({**good, key: bad})
+        for key in ("yexp", "xexp"):
+            with pytest.raises(ValueError):
+                element_from_json({**good, "terms": [{**good["terms"][0], key: bad}]})
+        with pytest.raises(ValueError):
+            element_from_json({**good, "terms": [{**good["terms"][0], "h_eval": [0, bad]}]})
+    with pytest.raises(ValueError):
+        element_from_json({**good, "terms": [{**good["terms"][0], "h_eval": "01"}]})
 
 
 def test_format_element():

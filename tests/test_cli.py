@@ -67,10 +67,12 @@ def test_verify_reports_each_check(capsys):
     assert payload["passed"] is True
 
 
-def test_verify_full_depth2(capsys):
-    code, out, _ = run(capsys, "verify", "--p", "3", "--r", "2", "--suite", "full")
+@pytest.mark.parametrize("p", [2, 3])
+def test_verify_full_depth2(capsys, p):
+    code, out, _ = run(capsys, "verify", "--p", str(p), "--r", "2", "--suite", "full")
     assert code == 0
     assert "FAIL" not in out
+    assert f"PASS split-product-independence ({p**6} products)" in out.splitlines()
     assert "25/25 checks passed" in out
 
 
@@ -81,6 +83,23 @@ def test_usage_errors(capsys):
     assert code == 2 and "9:0" in err
     code, _, err = run(capsys, "idempotents", "--p", "3", "--r", "2", "--rprime", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--p", "1000003", "--r", "1"),
+        ("--p", "3", "--r", "1", "--rprime", "1000000000"),
+        ("--p", "2305843009213693951", "--r", "1"),
+        ("--p", "3", "--r", "1", "--rprime", "7", "--suite", "full"),
+    ],
+    ids=["large-p", "large-rprime", "word-size-p", "full-suite-lift"],
+)
+def test_context_too_large(capsys, args):
+    # rejected before any table is built or any primality test runs
+    code, out, err = run(capsys, "verify", *args)
+    assert code == 2 and out == ""
+    assert "4096" in err
 
 
 def test_show_text(capsys):

@@ -144,7 +144,6 @@ def test_level1_p2_table():
 def test_level1_alternative_xy_form(p):
     # evaluating the selector at mu_a XY + ((a-1)/2)^2 gives the same element
     from sl2hyper.fpoly import selector_poly
-    from sl2hyper.idempotents import _poly_at_elem
 
     ctx = AlgebraCtx(p, 1, 1)
     half = inv_mod_p(2, p)
@@ -153,8 +152,10 @@ def test_level1_alternative_xy_form(p):
         mu = weight_projector(pr.a, 1, ctx)
         c0 = ((pr.a - 1) * half) ** 2 % p
         t = mu * xy + c0 * one(ctx)
-        alt = _poly_at_elem(selector_poly(pr.two_j // 2, p).coeffs, t) * mu
-        assert alt == level1_idempotent(pr, ctx)
+        alt = zero(ctx)
+        for c in reversed(selector_poly(pr.two_j // 2, p).coeffs):
+            alt = alt * t + int(c) * one(ctx)
+        assert alt * mu == level1_idempotent(pr, ctx)
 
 
 def test_yx_expansion_examples():
@@ -307,6 +308,19 @@ def test_tuple_validation():
         tuple_idempotent(TupleLabel((pr,), None), ctx)
     with pytest.raises(ValueError):
         tuple_idempotent(TupleLabel((pr, pr), 0), ctx)  # aprime without torus room
+
+
+def test_term_arrays_are_frozen():
+    # the construction is cached, so a writable term array would let a caller
+    # rewrite the cached idempotent
+    ctx = AlgebraCtx(2, 1, 1)
+    label = enumerate_labels(ctx)[0]
+    e = tuple_idempotent(label, ctx)
+    key, vec = next(iter(e.terms.items()))
+    before = vec.tolist()
+    with pytest.raises(ValueError):
+        vec[0] = 1 - vec[0]
+    assert tuple_idempotent(label, ctx).terms[key].tolist() == before
 
 
 def test_primitivity_count_certificate():
