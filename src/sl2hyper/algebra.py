@@ -16,11 +16,20 @@ products, and moving f across X^(n) or Y^(n) into index shifts:
 where shift(f, s)(w) = f(w + s).  The binomial-coefficient basis is
 recovered through the unitriangular Pascal matrix C(w, n), which is what
 the Frobenius maps and the JSON round trip go through.
+
+Each stored torus factor also carries its support {w : f(w) != 0} as a
+q-bit integer mask.  In a product of two terms the i-independent middle
+factor is h(w) = f1(w - 2m2) * f2(w - 2m1') mod p.  Entries lie in [0, p)
+and F_p has no zero divisors, so h = 0 exactly when the two shifted
+supports are disjoint (the *support lemma*).  Rotating one mask against
+the other and testing the AND therefore rejects an empty term pair with
+integer operations alone, before any array is touched.
 """
 
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +107,13 @@ class AlgebraCtx:
         if not 1 <= self.r <= self.rprime:
             raise ValueError(f"need 1 <= r <= rprime, got r={self.r}, rprime={self.rprime}")
 
-    @property
+    # cached in the instance dict; equality and hashing stay on the fields
+    @functools.cached_property
     def q(self) -> int:
         """Number of weight classes, p**rprime."""
         return self.p**self.rprime
 
-    @property
+    @functools.cached_property
     def xy_range(self) -> int:
         """Exclusive bound p**r on divided-power exponents."""
         return self.p**self.r
@@ -121,9 +131,15 @@ class AlgebraCtx:
         return _pascal(self.p, 2 * self.xy_range)
 
 
-def _canon(ctx: AlgebraCtx, terms) -> dict[tuple[int, int], np.ndarray]:
+def _canon(ctx: AlgebraCtx, terms) -> tuple[dict[tuple[int, int], np.ndarray], tuple[int, ...]]:
+    """Reduced, frozen, nonzero terms in key order, and each one's support mask.
+
+    Bit w of a mask is set iff the vector is nonzero at w, so a mask is
+    nonzero exactly when its vector is.
+    """
     p, q, nmax = ctx.p, ctx.q, ctx.xy_range
     out: dict[tuple[int, int], np.ndarray] = {}
+    masks: list[int] = []
     for key in sorted(terms):
         m, mp_ = key
         if not (0 <= m < nmax and 0 <= mp_ < nmax):
@@ -131,20 +147,27 @@ def _canon(ctx: AlgebraCtx, terms) -> dict[tuple[int, int], np.ndarray]:
         vec = np.asarray(terms[key], dtype=np.int64) % p
         if vec.shape != (q,):
             raise ValueError(f"weight function must have length {q}")
-        if vec.any():
+        mask = int.from_bytes(np.packbits(vec != 0, bitorder="little").tobytes(), "little")
+        if mask:
             vec.setflags(write=False)
             out[(m, mp_)] = vec
-    return out
+            masks.append(mask)
+    return out, tuple(masks)
 
 
 class HyperElem:
-    """Sparse normal form: maps (m, m') to the torus factor's evaluation vector."""
+    """Sparse normal form: maps (m, m') to the torus factor's evaluation vector.
 
-    __slots__ = ("ctx", "terms")
+    `terms` is a read-only mapping of read-only arrays; `_masks` holds the
+    support mask of each term, in the same order.
+    """
+
+    __slots__ = ("ctx", "terms", "_masks")
 
     def __init__(self, ctx: AlgebraCtx, terms):
         self.ctx = ctx
-        self.terms = _canon(ctx, terms)
+        out, self._masks = _canon(ctx, terms)
+        self.terms = types.MappingProxyType(out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -196,12 +219,21 @@ class HyperElem:
         pas = ctx.pascal
         bin2 = ctx.binom2
         acc: dict[tuple[int, int], np.ndarray] = {}
-        for (m1, m1p), f1 in self.terms.items():
-            for (m2, m2p), f2 in other.terms.items():
-                # the i-independent part of the middle factor
-                h = f1[sh[(-2 * m2) % q]] * f2[sh[(-2 * m1p) % q]] % p
-                if not h.any():
+        # each right mask written twice over 2q bits, so that a right shift
+        # by t in [0, q) leaves the rotation by -t in its low q bits
+        right = [
+            (m2, m2p, f2, mask | (mask << q))
+            for ((m2, m2p), f2), mask in zip(other.terms.items(), other._masks)
+        ]
+        for ((m1, m1p), f1), mask1 in zip(self.terms.items(), self._masks):
+            for m2, m2p, f2, twice2 in right:
+                # Support lemma: h below is zero exactly when the support of
+                # f1 shifted by 2m2 misses that of f2 shifted by 2m1', that
+                # is when supp f1 misses supp f2 rotated by 2(m1' - m2).
+                if not mask1 & (twice2 >> (2 * (m2 - m1p)) % q):
                     continue
+                # the i-independent part of the middle factor, nonzero here
+                h = f1[sh[(-2 * m2) % q]] * f2[sh[(-2 * m1p) % q]] % p
                 for i in range(min(m1p, m2) + 1):
                     mm = m1 + m2 - i
                     mmp = m1p + m2p - i
@@ -354,7 +386,7 @@ def element_to_json(u: HyperElem) -> dict:
         "r": u.ctx.r,
         "rprime": u.ctx.rprime,
         "terms": [
-            {"yexp": m, "xexp": mp_, "h_eval": [int(v) for v in f]}
+            {"yexp": m, "xexp": mp_, "h_eval": f.tolist()}
             for (m, mp_), f in u.terms.items()
         ],
     }

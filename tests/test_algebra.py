@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2hyper.algebra import (
     AlgebraCtx,
@@ -111,6 +113,69 @@ def test_multiply_against_weyl_oracle():
                 weyl_action(a * b, lam),
                 weyl_action(a, lam) @ weyl_action(b, lam) % ctx.p,
             )
+
+
+def product_per_pair(u, v):
+    # the term-pair loop without the support-mask filter: every pair forms
+    # h and is dropped only when h is zero
+    ctx = u.ctx
+    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
+    sh, pas, bin2 = ctx.shift, ctx.pascal, ctx.binom2
+    acc = {}
+    for (m1, m1p), f1 in u.terms.items():
+        for (m2, m2p), f2 in v.terms.items():
+            h = f1[sh[(-2 * m2) % q]] * f2[sh[(-2 * m1p) % q]] % p
+            if not h.any():
+                continue
+            for i in range(min(m1p, m2) + 1):
+                mm, mmp = m1 + m2 - i, m1p + m2p - i
+                if mm >= nmax or mmp >= nmax:
+                    continue
+                k = int(bin2[mm, m1]) * int(bin2[mmp, m2p]) % p
+                if k == 0:
+                    continue
+                c = (m1p + m2 - 2 * i) % q
+                mid = h[sh[(2 * i) % q]] * pas[sh[(-c) % q], i] % p * k
+                acc[(mm, mmp)] = acc[(mm, mmp)] + mid if (mm, mmp) in acc else mid
+    return HyperElem(ctx, acc)
+
+
+@st.composite
+def sparse_elem(draw, ctx):
+    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
+    # exponents with 2m = 0 mod q make a shift of the torus support vanish
+    exps = st.one_of(
+        st.sampled_from([m for m in range(nmax) if 2 * m % q == 0]),
+        st.integers(0, nmax - 1),
+    )
+    # a few scattered weights, or one run of weights (wrapping around), so
+    # that term pairs with disjoint and with overlapping supports both occur
+    scattered = st.lists(st.integers(0, q - 1), min_size=1, max_size=3)
+    run = st.builds(
+        lambda a, n: [(a + j) % q for j in range(n)], st.integers(0, q - 1), st.integers(1, q)
+    )
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        vec = np.zeros(q, dtype=np.int64)
+        for w in draw(st.one_of(scattered, run)):
+            vec[w] = draw(st.integers(1, p - 1))
+        terms[(draw(exps), draw(exps))] = vec
+    return HyperElem(ctx, terms)
+
+
+# (2,1,7) has q = 128, so its support masks span several machine words
+@pytest.mark.parametrize(
+    "p, r, rprime", [(2, 1, 1), (2, 3, 3), (3, 2, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)]
+)
+def test_support_filter_matches_per_pair_products(p, r, rprime):
+    ctx = AlgebraCtx(p, r, rprime)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(sparse_elem(ctx), sparse_elem(ctx))
+    def check(u, v):
+        assert u * v == product_per_pair(u, v)
+
+    check()
 
 
 def test_degree_decompose():

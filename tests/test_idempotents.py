@@ -323,6 +323,23 @@ def test_term_arrays_are_frozen():
     assert tuple_idempotent(label, ctx).terms[key].tolist() == before
 
 
+def test_terms_mapping_is_read_only():
+    # nor can a caller add, replace or delete a term of a cached idempotent
+    ctx = AlgebraCtx(2, 1, 1)
+    label = enumerate_labels(ctx)[0]
+    e = tuple_idempotent(label, ctx)
+    before = {k: v.tolist() for k, v in e.terms.items()}
+    key, vec = next(iter(e.terms.items()))
+    with pytest.raises(TypeError):
+        e.terms[key] = vec * 0
+    with pytest.raises(TypeError):
+        e.terms[(1, 1)] = vec
+    with pytest.raises(TypeError):
+        del e.terms[key]
+    after = tuple_idempotent(label, ctx).terms
+    assert {k: v.tolist() for k, v in after.items()} == before
+
+
 def test_primitivity_count_certificate():
     # as many idempotents as summands in any full decomposition: the sum of
     # the simple-module dimensions, computed digitwise
