@@ -49,6 +49,7 @@ from .modp import binom_mod_p, digits_base_p, factorial_mod_p, inv_mod_p, is_pri
 from .pims import (
     IdealBasis,
     PimLabel,
+    left_ideal_dim,
     left_ideal_span,
     pim_label_closed_form,
     pim_rows,

@@ -159,15 +159,24 @@ class HyperElem:
     """Sparse normal form: maps (m, m') to the torus factor's evaluation vector.
 
     `terms` is a read-only mapping of read-only arrays; `_masks` holds the
-    support mask of each term, in the same order.
+    support mask of each term, in the same order.  The attributes cannot be
+    rebound or deleted, so the masks always describe the terms and a cached
+    element cannot be changed in place.
     """
 
     __slots__ = ("ctx", "terms", "_masks")
 
     def __init__(self, ctx: AlgebraCtx, terms):
-        self.ctx = ctx
-        out, self._masks = _canon(ctx, terms)
-        self.terms = types.MappingProxyType(out)
+        out, masks = _canon(ctx, terms)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "terms", types.MappingProxyType(out))
+        object.__setattr__(self, "_masks", masks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"HyperElem is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"HyperElem is immutable: cannot delete {name!r}")
 
     def is_zero(self) -> bool:
         return not self.terms

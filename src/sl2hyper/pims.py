@@ -1,14 +1,26 @@
 """Module-theoretic verification: the Weyl-action oracle and projective covers.
 
 weyl_action gives a second, independent route to products (matrices acting
-on a highest-weight module), left_ideal_span measures the module each
-idempotent generates by sparse row reduction over F_p, and the label
-bookkeeping predicts which projective indecomposable that module is from
-the case data alone: its dimension, the generator's torus weight, and the
-largest surviving X exponent.
+on a highest-weight module), left_ideal_dim measures the module each
+idempotent generates, and the label bookkeeping predicts which projective
+indecomposable that module is from the case data alone: its dimension, the
+generator's torus weight, and the largest surviving X exponent.
 
-IdealBasis.add is the package's one row reduction over F_p; spans and
-ranks elsewhere (the split-product check in verify) are built through it.
+left_ideal_dim rests on the *weight-block lemma*.  A has the PBW basis
+Y^(a) C(H,n) X^(b).  Let e be a left weight vector of weight nu, so that
+mu_nu e = e for the depth-rprime weight projector mu_nu.  Then
+C(H,n) X^(b) e = C(nu + 2b, n) X^(b) e, hence A e = span{Y^(a) X^(b) e}.
+Products keep the degree m' - m, so for homogeneous e
+
+    A e = (+)_d span{Y^(a) X^(a+d) e},   dim A e = sum_d rank_p(block d),
+
+which needs only the p**r products X^(b) e; Y^(a) acts on their
+coordinates.  left_ideal_span, the closure under the algebra generators,
+is kept as the independent oracle.
+
+IdealBasis.add_coords is the package's one row reduction over F_p: the
+degree blocks above, left-ideal spans and the split-product rank in verify
+are all built through it.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ __all__ = [
     "weyl_action",
     "IdealBasis",
     "left_ideal_span",
+    "left_ideal_dim",
     "PimLabel",
     "pim_label_closed_form",
     "predicted_weight",
@@ -85,13 +98,17 @@ class IdealBasis:
         return len(self.rows)
 
     def add(self, v: HyperElem) -> HyperElem | None:
-        """Reduce v into the basis with lowest-index pivoting.
+        """Reduce v into the basis; the new basis row as an element, or
+        None when v already lies in the span."""
+        row = self.add_coords(_elem_coords(v), v.ctx.p)
+        return None if row is None else _coords_elem(row, v.ctx)
 
-        Returns the new basis row as an element, or None when v already
+    def add_coords(self, row: dict[int, int], p: int) -> dict[int, int] | None:
+        """Reduce a sparse coordinate row (consumed) with lowest-index pivoting.
+
+        Returns the new normalized basis row, or None when the row already
         lies in the span.
         """
-        p = v.ctx.p
-        row = _elem_coords(v)
         for pv, rw in self.rows.items():
             if row.get(pv):
                 _sub_multiple(row, rw, row[pv], p)
@@ -104,7 +121,7 @@ class IdealBasis:
             if rw.get(piv):
                 _sub_multiple(rw, row, rw[piv], p)
         self.rows[piv] = row
-        return _coords_elem(row, v.ctx)
+        return row
 
 
 def _elem_coords(v: HyperElem) -> dict[int, int]:
@@ -159,6 +176,40 @@ def left_ideal_span(e: HyperElem) -> IdealBasis:
         if w is not None:
             work.extend(g * w for g in gens)
     return basis
+
+
+def left_ideal_dim(e: HyperElem) -> int:
+    """dim A e for a nonzero homogeneous left weight vector e.
+
+    Weight-block lemma (module docstring): A e is the direct sum over d of
+    span{Y^(a) X^(a+d) e}, so its dimension is the sum of the block ranks.
+    Raises ValueError outside the lemma's hypotheses.
+    """
+    weight_of_idempotent(e)  # raises unless e is a nonzero left weight vector
+    if len({mp_ - m for m, mp_ in e.terms}) != 1:
+        raise ValueError("element is not homogeneous")
+    ctx = e.ctx
+    p, nmax = ctx.p, ctx.xy_range
+    stride = nmax * ctx.q  # coordinate step from Y^(m) to Y^(m+1)
+    bin2 = ctx.binom2[:nmax, :nmax].tolist()
+    blocks: dict[int, IdealBasis] = {}
+    for b in range(nmax):
+        by_m: dict[int, list[tuple[int, int]]] = {}
+        for idx, val in _elem_coords(gen_x(b, ctx) * e).items():
+            by_m.setdefault(idx // stride, []).append((idx, val))
+        for a in range(nmax):
+            # Y^(a) Y^(m) C(H,n) X^(m') = C(a+m, a) Y^(a+m) C(H,n) X^(m'); the
+            # entry drops when a + m >= p**r, where Kummer gives C(a+m, a) = 0
+            shift = a * stride
+            row: dict[int, int] = {}
+            for m, entries in by_m.items():
+                k = bin2[a + m][a] if a + m < nmax else 0
+                if k:
+                    row.update((idx + shift, k * val % p) for idx, val in entries)
+            if row:
+                # the block of Y^(a) X^(b) e, by degree relative to e
+                blocks.setdefault(b - a, IdealBasis()).add_coords(row, p)
+    return sum(basis.dim for basis in blocks.values())
 
 
 @dataclass(frozen=True)
@@ -246,7 +297,7 @@ def pim_rows(ctx: AlgebraCtx) -> list[dict]:
         pl = pim_label_closed_form(label, ctx)
         nu = weight_of_idempotent(e)
         t = top_x_exponent(e)
-        dim = left_ideal_span(e).dim
+        dim = left_ideal_dim(e)
         ok = (
             dim == pl.dim
             and nu == predicted_weight(label, ctx)

@@ -462,7 +462,7 @@ def _check_top_x(ctx: AlgebraCtx) -> CheckResult:
 
 def _check_pim_census(ctx: AlgebraCtx) -> CheckResult:
     ambient = ctx.xy_range**2 * ctx.q
-    if ambient > 1024:
+    if ambient > 20000:
         return CheckResult("pim-census", True, f"skipped for ambient dim {ambient} (size)")
     rows = pim_rows(ctx)
     bad = [f"{row['label']}: {row['status']}" for row in rows if row["status"] != "PASS"]

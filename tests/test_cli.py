@@ -76,6 +76,13 @@ def test_verify_full_depth2(capsys, p):
     assert "25/25 checks passed" in out
 
 
+def test_verify_full_census_above_1024(capsys):
+    # ambient dimension 2**11 = 2048: certified, not skipped for size
+    code, out, _ = run(capsys, "verify", "--p", "2", "--r", "3", "--rprime", "5", "--suite", "full")
+    assert code == 0
+    assert "PASS pim-census (census 2048 = ambient dim)" in out.splitlines()
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "verify", "--p", "4", "--r", "1")
     assert code == 2 and "prime" in err

@@ -340,6 +340,30 @@ def test_terms_mapping_is_read_only():
     assert {k: v.tolist() for k, v in after.items()} == before
 
 
+def test_attributes_cannot_be_rebound():
+    # rebinding ctx, terms or the support masks of a cached idempotent would
+    # change the cache entry, or leave the masks describing other terms
+    ctx = AlgebraCtx(3, 1, 2)
+    label = enumerate_labels(ctx)[0]
+    e = tuple_idempotent(label, ctx)
+    before = {k: v.tolist() for k, v in e.terms.items()}
+    masks = e._masks
+    for name, value in [
+        ("ctx", AlgebraCtx(3, 2, 2)),
+        ("terms", dict(gen_x(1, ctx).terms)),
+        ("_masks", ()),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(e, name, value)
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    with pytest.raises(AttributeError):
+        e.extra = 1
+    again = tuple_idempotent(label, ctx)
+    assert again.ctx == ctx and again._masks == masks
+    assert {k: v.tolist() for k, v in again.terms.items()} == before
+
+
 def test_primitivity_count_certificate():
     # as many idempotents as summands in any full decomposition: the sum of
     # the simple-module dimensions, computed digitwise

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from sl2hyper.algebra import AlgebraCtx, gen_h_binom, gen_x, gen_y, one
+from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_h_binom, gen_x, gen_y, one, zero
 from sl2hyper.idempotents import (
     TupleLabel,
     all_pairs,
@@ -12,6 +14,7 @@ from sl2hyper.idempotents import (
     weight_projector,
 )
 from sl2hyper.pims import (
+    left_ideal_dim,
     left_ideal_span,
     pim_label_closed_form,
     pim_rows,
@@ -53,8 +56,6 @@ def test_left_ideal_p2_pims():
 
 
 def test_left_ideal_rejects_zero():
-    from sl2hyper.algebra import zero
-
     with pytest.raises(ValueError):
         left_ideal_span(zero(AlgebraCtx(2, 1, 1)))
 
@@ -130,3 +131,52 @@ def test_pim_rows_pass(p, r, rp):
     rows = pim_rows(ctx)
     assert all(row["status"] == "PASS" for row in rows)
     assert sum(row["computed_dim"] for row in rows) == p ** (2 * r + rp)
+
+
+ORACLE_CONTEXTS = [
+    (2, 1, 1), (2, 2, 2), (2, 1, 2), (2, 2, 3), (3, 1, 1),
+    (3, 2, 2), (3, 1, 2), (3, 2, 3), (5, 1, 1), (5, 1, 2),
+]
+
+
+@pytest.mark.parametrize("p,r,rp", ORACLE_CONTEXTS)
+def test_left_ideal_dim_matches_span_on_idempotents(p, r, rp):
+    ctx = AlgebraCtx(p, r, rp)
+    for label in enumerate_labels(ctx):
+        e = tuple_idempotent(label, ctx)
+        assert left_ideal_dim(e) == left_ideal_span(e).dim, format_label(label)
+
+
+@st.composite
+def homogeneous_weight_vector(draw):
+    # mu_nu * u for u of one random degree d: a left weight vector of weight nu
+    p, r, rp = draw(st.sampled_from(ORACLE_CONTEXTS[:7]))
+    ctx = AlgebraCtx(p, r, rp)
+    nmax, q = ctx.xy_range, ctx.q
+    d = draw(st.integers(1 - nmax, nmax - 1))
+    ms = range(max(0, -d), min(nmax, nmax - d))
+    terms = {}
+    for m in draw(st.lists(st.sampled_from(ms), min_size=1, max_size=3, unique=True)):
+        terms[(m, m + d)] = np.array(draw(st.lists(st.integers(0, p - 1), min_size=q, max_size=q)))
+    nu = draw(st.integers(0, q - 1))
+    return weight_projector(nu, rp, ctx) * HyperElem(ctx, terms)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(homogeneous_weight_vector())
+def test_left_ideal_dim_matches_span_on_weight_vectors(e):
+    assume(not e.is_zero())
+    assert left_ideal_dim(e) == left_ideal_span(e).dim
+
+
+def test_left_ideal_dim_rejects_inputs_outside_the_lemma():
+    ctx = AlgebraCtx(2, 1, 2)
+    mu = weight_projector(1, 2, ctx)
+    with pytest.raises(ValueError):
+        left_ideal_dim(zero(ctx))
+    with pytest.raises(ValueError, match="homogeneous"):
+        left_ideal_dim(mu * (one(ctx) + gen_x(1, ctx)))  # weight 1, degrees 0 and 1
+    with pytest.raises(ValueError, match="weight vector"):
+        left_ideal_dim(one(ctx))
+    with pytest.raises(ValueError, match="weight vector"):
+        left_ideal_dim(gen_x(1, ctx))  # homogeneous, every weight
