@@ -17,6 +17,11 @@ where shift(f, s)(w) = f(w + s).  The binomial-coefficient basis is
 recovered through the unitriangular Pascal matrix C(w, n), which is what
 the Frobenius maps and the JSON round trip go through.
 
+An element's torus factors are the rows of one (k, q) block, reduced mod
+p and support-masked in one pass each.  The block sits in a read-only
+bytes buffer that cannot be made writeable again, so a shared (cached)
+element cannot be changed through its arrays.
+
 Each stored torus factor also carries its support {w : f(w) != 0} as a
 q-bit integer mask.  In a product of two terms the i-independent middle
 factor is h(w) = f1(w - 2m2) * f2(w - 2m1') mod p.  Entries lie in [0, p)
@@ -132,36 +137,47 @@ class AlgebraCtx:
 
 
 def _canon(ctx: AlgebraCtx, terms) -> tuple[dict[tuple[int, int], np.ndarray], tuple[int, ...]]:
-    """Reduced, frozen, nonzero terms in key order, and each one's support mask.
+    """Reduced nonzero terms in key order, and each one's support mask.
 
-    Bit w of a mask is set iff the vector is nonzero at w, so a mask is
-    nonzero exactly when its vector is.
+    The torus factors are the rows of one (k, q) block, reduced mod p and
+    masked in one pass each.  Bit w of a mask is set iff the row is nonzero
+    at w, so a mask is nonzero exactly when its row is.
     """
     p, q, nmax = ctx.p, ctx.q, ctx.xy_range
-    out: dict[tuple[int, int], np.ndarray] = {}
-    masks: list[int] = []
-    for key in sorted(terms):
+    keys = sorted(terms)
+    vecs = []
+    for key in keys:
         m, mp_ = key
         if not (0 <= m < nmax and 0 <= mp_ < nmax):
             raise ValueError(f"exponent pair {key} out of range for {ctx}")
-        vec = np.asarray(terms[key], dtype=np.int64) % p
+        vec = np.asarray(terms[key], dtype=np.int64)
         if vec.shape != (q,):
             raise ValueError(f"weight function must have length {q}")
-        mask = int.from_bytes(np.packbits(vec != 0, bitorder="little").tobytes(), "little")
-        if mask:
-            vec.setflags(write=False)
-            out[(m, mp_)] = vec
-            masks.append(mask)
-    return out, tuple(masks)
+        vecs.append(vec)
+    if not vecs:
+        return {}, ()
+    block = np.array(vecs) % p
+    # packbits sets a bit for every nonzero entry
+    packed = np.packbits(block, axis=1, bitorder="little").tobytes()
+    nb = len(packed) // len(keys)
+    masks = [int.from_bytes(packed[i : i + nb], "little") for i in range(0, len(packed), nb)]
+    if not all(masks):
+        kept = [i for i, mask in enumerate(masks) if mask]
+        keys = [keys[i] for i in kept]
+        masks = [masks[i] for i in kept]
+        block = block[kept]
+    # backed by immutable bytes: neither a row nor its base can be made writeable
+    block = np.ndarray(block.shape, np.int64, block.tobytes())
+    return dict(zip(keys, block)), tuple(masks)
 
 
 class HyperElem:
     """Sparse normal form: maps (m, m') to the torus factor's evaluation vector.
 
-    `terms` is a read-only mapping of read-only arrays; `_masks` holds the
-    support mask of each term, in the same order.  The attributes cannot be
-    rebound or deleted, so the masks always describe the terms and a cached
-    element cannot be changed in place.
+    `terms` is a read-only mapping to the rows of one read-only block;
+    `_masks` holds the support mask of each term, in the same order.  The
+    attributes cannot be rebound or deleted, so the masks always describe
+    the terms and a cached element cannot be changed in place.
     """
 
     __slots__ = ("ctx", "terms", "_masks")

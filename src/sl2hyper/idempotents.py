@@ -12,7 +12,9 @@ case-dependent operator that sandwiches the exponent-multiplying splitting
 of the Frobenius map between window elements; iterating it over a tuple of
 pairs, and cutting by a torus block projector when the torus range exceeds
 the divided-power range, yields the complete family of pairwise orthogonal
-primitive idempotents summing to 1.
+primitive idempotents summing to 1.  The inner part of that iteration
+depends only on a label's trailing pairs, so each distinct suffix is lifted
+once and shared by every label that ends with it.
 """
 
 from __future__ import annotations
@@ -328,22 +330,34 @@ def z_operator(z: HyperElem, pair: PairAJ) -> HyperElem:
 
 
 @functools.lru_cache(maxsize=None)
+def _lifted_chain(pairs: tuple[PairAJ, ...], p: int) -> HyperElem:
+    # the chain over pairs, in AlgebraCtx(p, k, k) with k = len(pairs);
+    # cached per suffix by the suffix lemma (see tuple_idempotent)
+    if len(pairs) == 1:
+        return level1_idempotent(pairs[0], AlgebraCtx(p, 1, 1))
+    return z_operator(_lifted_chain(pairs[1:], p), pairs[0])
+
+
+@functools.lru_cache(maxsize=None)
 def tuple_idempotent(label: TupleLabel, ctx: AlgebraCtx) -> HyperElem:
     """The primitive idempotent of a full label in the given context.
 
     Built by recursion in the minimal context chain (pairs[0] is applied
     last, i.e. it is the least-significant digit), embedded once at the
     end, and cut by the torus block projector when the label carries one.
+
+    Suffix lemma: the value after the pairs pairs[k:] have been applied
+    depends only on (pairs[k:], p); it is computed in
+    AlgebraCtx(p, r - k, r - k) and reads neither ctx nor aprime.  So the
+    chain is cached per suffix, and each distinct suffix is lifted once:
+    all labels of a context cost sum_{k=2..r} N**k calls of `z_operator`
+    for N index pairs, not (r - 1) N**r.
     """
-    p = ctx.p
     if len(label.pairs) != ctx.r:
         raise ValueError(f"label has {len(label.pairs)} pairs, context needs {ctx.r}")
     if (label.aprime is None) != (ctx.rprime == ctx.r):
         raise ValueError("aprime must be present exactly when rprime > r")
-    e = level1_idempotent(label.pairs[-1], AlgebraCtx(p, 1, 1))
-    for pair in label.pairs[-2::-1]:
-        e = z_operator(e, pair)
-    e = embed(e, ctx)
+    e = embed(_lifted_chain(label.pairs, ctx.p), ctx)
     if label.aprime is not None:
         e = e * upper_block_projector(label.aprime, ctx)
     return e

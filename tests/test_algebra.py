@@ -336,3 +336,81 @@ def test_format_element():
     assert format_element(one(ctx)) == "1"
     u = gen_y(1, ctx) * gen_h_binom(1, ctx) * gen_x(1, ctx)
     assert format_element(u) == "Y^(1) C(H,1) X^(1)"
+
+
+def test_canon_checks_masks_and_order():
+    ctx = AlgebraCtx(3, 1, 2)
+    q = ctx.q
+    good = np.arange(q, dtype=np.int64)
+    # the first bad key in sorted order is the one reported, good terms or not
+    with pytest.raises(ValueError, match=r"exponent pair \(3, 0\) out of range"):
+        HyperElem(ctx, {(0, 0): good, (3, 0): good})
+    with pytest.raises(ValueError, match=f"weight function must have length {q}"):
+        HyperElem(ctx, {(0, 0): good, (1, 1): good[:-1]})
+    with pytest.raises(ValueError, match=f"weight function must have length {q}"):
+        HyperElem(ctx, {(0, 0): np.zeros((2, q), dtype=np.int64), (0, 9): good})
+    # all-zero rows, also rows that are zero only mod p, are dropped
+    zeros = np.zeros(q, dtype=np.int64)
+    terms = {(2, 1): 3 * good, (1, 2): good - 1, (0, 0): zeros, (1, 0): good}
+    u = HyperElem(ctx, terms)
+    assert list(u.terms) == [(1, 0), (1, 2)]
+    assert HyperElem(ctx, {(0, 0): 3 * good}).is_zero()
+    assert HyperElem(ctx, {(0, 0): 3 * good})._masks == ()
+    for (key, vec), mask in zip(u.terms.items(), u._masks):
+        assert vec.tolist() == (np.asarray(terms[key]) % 3).tolist()
+        bits = np.packbits(vec != 0, bitorder="little").tobytes()
+        assert mask == int.from_bytes(bits, "little") != 0
+
+
+# small contexts for the property tests, (2,1,4) with its 16-bit masks included
+SMALL_CTXS = [
+    AlgebraCtx(*c) for c in [(2, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 2), (3, 2, 2), (5, 1, 1)]
+]
+
+
+@st.composite
+def dense_elem(draw, ctx):
+    # up to six terms with arbitrary torus factors, zero ones included
+    keys = st.tuples(st.integers(0, ctx.xy_range - 1), st.integers(0, ctx.xy_range - 1))
+    vecs = st.lists(st.integers(0, ctx.p - 1), min_size=ctx.q, max_size=ctx.q)
+    return HyperElem(ctx, draw(st.dictionaries(keys, vecs, max_size=6)))
+
+
+def elems_in_small_ctx(n):
+    def elems(ctx):
+        one_elem = st.one_of(sparse_elem(ctx), dense_elem(ctx))
+        return st.tuples(*[one_elem] * n)
+
+    return st.sampled_from(SMALL_CTXS).flatmap(elems)
+
+
+PROPERTY = settings(derandomize=True, max_examples=120, deadline=None, database=None)
+
+
+@PROPERTY
+@given(elems_in_small_ctx(3))
+def test_ring_axioms(elems):
+    u, v, w = elems
+    e = one(u.ctx)
+    assert (u * v) * w == u * (v * w)
+    assert u * (v + w) == u * v + u * w
+    assert (u + v) * w == u * w + v * w
+    assert e * u == u == u * e
+
+
+@PROPERTY
+@given(elems_in_small_ctx(1))
+def test_frobenius_round_trip(elems):
+    (u,) = elems
+    assert fr(fr_prime(u)) == u
+
+
+@PROPERTY
+@given(elems_in_small_ctx(1))
+def test_embed_commutes_with_fr_prime(elems):
+    (u,) = elems
+    ctx = u.ctx
+    p, r, rp = ctx.p, ctx.r, ctx.rprime
+    for target in (AlgebraCtx(p, r, rp + 1), AlgebraCtx(p, r + 1, rp + 1)):
+        lifted = AlgebraCtx(p, target.r + 1, target.rprime + 1)
+        assert fr_prime(embed(u, target)) == embed(fr_prime(u), lifted)

@@ -160,6 +160,15 @@ def test_out_file_and_note(capsys, tmp_path):
     assert path.read_text().endswith("count: 3\n")
 
 
+def test_out_path_unwritable(capsys, tmp_path):
+    # a missing directory and a directory path are usage errors, not failures
+    for out in (tmp_path / "no" / "such" / "x.json", tmp_path):
+        for cmd in (("idempotents", "--p", "2"), ("pim-table", "--p", "2")):
+            code, stdout, err = run(capsys, *cmd, "--format", "json", "--out", str(out))
+            assert code == 2 and stdout == ""
+            assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
+
 def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["idempotents"])  # missing --p

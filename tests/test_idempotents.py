@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import sl2hyper.idempotents as idempotents
 from sl2hyper.algebra import AlgebraCtx, embed, gen_x, gen_y, one, pbw_elem, zero
 from sl2hyper.idempotents import (
     LabelError,
@@ -301,6 +302,44 @@ def test_tuple_weight_fixed_point():
             assert weight_projector(nu, r, ctx) * e == e
 
 
+def direct_loop(label, ctx):
+    # the per-label construction: level 1, then z_operator pair by pair in
+    # the minimal contexts, then embed and cut by the block projector
+    e = level1_idempotent(label.pairs[-1], AlgebraCtx(ctx.p, 1, 1))
+    for pair in label.pairs[-2::-1]:
+        e = z_operator(e, pair)
+    e = embed(e, ctx)
+    if label.aprime is not None:
+        e = e * upper_block_projector(label.aprime, ctx)
+    return e
+
+
+@pytest.mark.parametrize("p, r, rp", [(2, 3, 3), (3, 3, 3), (3, 2, 3), (2, 2, 4), (5, 2, 2)])
+def test_shared_suffix_lift_matches_direct_loop(p, r, rp):
+    ctx = AlgebraCtx(p, r, rp)
+    for label in enumerate_labels(ctx):
+        assert tuple_idempotent(label, ctx) == direct_loop(label, ctx), format_label(label)
+
+
+def test_lift_work_count(monkeypatch):
+    # every suffix of length k >= 2 is lifted once: 6**2 + 6**3 calls at
+    # (3,3,3), where one lift per label and level would take 2 * 6**3
+    calls = []
+    inner = idempotents.z_operator
+
+    def counting(z, pair):
+        calls.append(pair)
+        return inner(z, pair)
+
+    monkeypatch.setattr(idempotents, "z_operator", counting)
+    tuple_idempotent.cache_clear()
+    idempotents._lifted_chain.cache_clear()
+    ctx = AlgebraCtx(3, 3, 3)
+    for label in enumerate_labels(ctx):
+        tuple_idempotent(label, ctx)
+    assert len(calls) == 36 + 216 == 252
+
+
 def test_tuple_validation():
     ctx = AlgebraCtx(2, 2, 2)
     pr = make_pair(1, 0, 2)
@@ -321,6 +360,21 @@ def test_term_arrays_are_frozen():
     with pytest.raises(ValueError):
         vec[0] = 1 - vec[0]
     assert tuple_idempotent(label, ctx).terms[key].tolist() == before
+
+
+def test_term_arrays_cannot_be_made_writeable():
+    # each element's rows share one read-only buffer: neither a row nor the
+    # block behind it can be switched back to writeable
+    ctx = AlgebraCtx(3, 2, 2)
+    label = enumerate_labels(ctx)[4]
+    e = tuple_idempotent(label, ctx)
+    for u in (e, one(ctx), e * gen_x(1, ctx)):
+        for vec in u.terms.values():
+            for arr in (vec, vec.base):
+                with pytest.raises(ValueError):
+                    arr.setflags(write=True)
+    assert e * e == e
+    assert tuple_idempotent(label, ctx) * e == e
 
 
 def test_terms_mapping_is_read_only():
