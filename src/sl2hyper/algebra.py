@@ -20,7 +20,8 @@ the Frobenius maps and the JSON round trip go through.
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p and support-masked in one pass each.  The block sits in a read-only
 bytes buffer that cannot be made writeable again, so a shared (cached)
-element cannot be changed through its arrays.
+element cannot be changed through its arrays.  The element keeps the block
+itself (`_block`) as well as the row views in `terms`.
 
 Each stored torus factor also carries its support {w : f(w) != 0} as a
 q-bit integer mask.  In a product of two terms the i-independent middle
@@ -29,6 +30,21 @@ and F_p has no zero divisors, so h = 0 exactly when the two shifted
 supports are disjoint (the *support lemma*).  Rotating one mask against
 the other and testing the AND therefore rejects an empty term pair with
 integer operations alone, before any array is touched.
+
+The pair test reads supp f1 against supp f2 rotated by 2(m1' - m2), that
+is against U_2 rotated by +2m1' with U_2 = supp f2 rotated by -2m2.
+Rotation distributes over union, so one left term meets some right term
+exactly when its support meets (union of all U_2) rotated by +2m1' (the
+*union lemma*).  A product first builds that union from the right operand
+and skips every left term that misses it, with its whole row of pairs; the
+per-pair test runs only in the rows that remain.
+
+Multiplication is one batched kernel per product.  The surviving (term
+pair, i) contributions are collected as plain integer lists: shifts, row
+offsets, i, the binomial coefficient k and the output key.  Every middle
+factor is then formed at once by fancy-index gathers from the two
+operands' blocks and the Pascal table at the indices (w + s) % q, reduced
+mod p, and added row by row into its output key.  No shift table is kept.
 """
 
 from __future__ import annotations
@@ -65,8 +81,8 @@ __all__ = [
 ]
 
 
-# Largest q = p**rprime a context may have: each cached q x q int64 table
-# (Pascal matrix, shift table) already takes 128 MiB at this size.
+# Largest q = p**rprime a context may have: the cached q x q int64 Pascal
+# table (ctx.pascal) already takes 128 MiB at this size.
 _MAX_Q = 4096
 
 
@@ -78,13 +94,6 @@ def _pascal(p: int, size: int) -> np.ndarray:
     for w in range(1, size):
         out[w, 1:] = (out[w - 1, 1:] + out[w - 1, :-1]) % p
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _shift_table(q: int) -> np.ndarray:
-    # row s is the index vector w |-> (w + s) mod q
-    a = np.arange(q, dtype=np.int64)
-    return (a[:, None] + a[None, :]) % q
 
 
 @dataclass(frozen=True)
@@ -128,16 +137,12 @@ class AlgebraCtx:
         return _pascal(self.p, self.q)
 
     @property
-    def shift(self) -> np.ndarray:
-        return _shift_table(self.q)
-
-    @property
     def binom2(self) -> np.ndarray:
         return _pascal(self.p, 2 * self.xy_range)
 
 
-def _canon(ctx: AlgebraCtx, terms) -> tuple[dict[tuple[int, int], np.ndarray], tuple[int, ...]]:
-    """Reduced nonzero terms in key order, and each one's support mask.
+def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, tuple[int, ...], np.ndarray]:
+    """Reduced nonzero terms in key order, each one's support mask, and the block.
 
     The torus factors are the rows of one (k, q) block, reduced mod p and
     masked in one pass each.  Bit w of a mask is set iff the row is nonzero
@@ -155,7 +160,7 @@ def _canon(ctx: AlgebraCtx, terms) -> tuple[dict[tuple[int, int], np.ndarray], t
             raise ValueError(f"weight function must have length {q}")
         vecs.append(vec)
     if not vecs:
-        return {}, ()
+        return {}, (), np.ndarray((0, q), np.int64, b"")
     block = np.array(vecs) % p
     # packbits sets a bit for every nonzero entry
     packed = np.packbits(block, axis=1, bitorder="little").tobytes()
@@ -168,25 +173,27 @@ def _canon(ctx: AlgebraCtx, terms) -> tuple[dict[tuple[int, int], np.ndarray], t
         block = block[kept]
     # backed by immutable bytes: neither a row nor its base can be made writeable
     block = np.ndarray(block.shape, np.int64, block.tobytes())
-    return dict(zip(keys, block)), tuple(masks)
+    return dict(zip(keys, block)), tuple(masks), block
 
 
 class HyperElem:
     """Sparse normal form: maps (m, m') to the torus factor's evaluation vector.
 
-    `terms` is a read-only mapping to the rows of one read-only block;
-    `_masks` holds the support mask of each term, in the same order.  The
-    attributes cannot be rebound or deleted, so the masks always describe
-    the terms and a cached element cannot be changed in place.
+    `terms` is a read-only mapping to the rows of one read-only block,
+    `_block`; `_masks` holds the support mask of each term, in the same
+    order.  The attributes cannot be rebound or deleted, so the masks and
+    the block always describe the terms and a cached element cannot be
+    changed in place.
     """
 
-    __slots__ = ("ctx", "terms", "_masks")
+    __slots__ = ("ctx", "terms", "_masks", "_block")
 
     def __init__(self, ctx: AlgebraCtx, terms):
-        out, masks = _canon(ctx, terms)
+        out, masks, block = _canon(ctx, terms)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", types.MappingProxyType(out))
         object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_block", block)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HyperElem is immutable: cannot set {name!r}")
@@ -240,45 +247,82 @@ class HyperElem:
         self._check(other)
         ctx = self.ctx
         p, q, nmax = ctx.p, ctx.q, ctx.xy_range
-        sh = ctx.shift
-        pas = ctx.pascal
-        bin2 = ctx.binom2
-        acc: dict[tuple[int, int], np.ndarray] = {}
-        # each right mask written twice over 2q bits, so that a right shift
-        # by t in [0, q) leaves the rotation by -t in its low q bits
-        right = [
-            (m2, m2p, f2, mask | (mask << q))
-            for ((m2, m2p), f2), mask in zip(other.terms.items(), other._masks)
-        ]
-        for ((m1, m1p), f1), mask1 in zip(self.terms.items(), self._masks):
-            for m2, m2p, f2, twice2 in right:
-                # Support lemma: h below is zero exactly when the support of
-                # f1 shifted by 2m2 misses that of f2 shifted by 2m1', that
-                # is when supp f1 misses supp f2 rotated by 2(m1' - m2).
+        # Union lemma: rotation distributes over union, so the union over
+        # right terms of supp f2 rotated by -2m2, rotated by +2m1', is the
+        # union of the sets the support lemma below tests against supp f1.
+        # A left term whose support misses it meets no right term, and its
+        # whole row of term pairs is skipped.  Like the right masks below,
+        # the union is written twice over 2q bits.
+        union = 0
+        for (m2, _), mask in zip(other.terms, other._masks):
+            union |= (mask | mask << q) >> 2 * m2 % q
+        union &= (1 << q) - 1
+        union |= union << q
+        right = None
+        # per contribution: shifts into f1, f2 and the Pascal column, the row
+        # offsets of f1, f2 and the column i, the coefficient k, the output slot
+        rows: list[int] = []
+        slots: dict[tuple[int, int], int] = {}
+        for row1, ((m1, m1p), mask1) in enumerate(zip(self.terms, self._masks)):
+            if not mask1 & union >> (-2 * m1p) % q:
+                continue
+            if right is None:
+                bin2 = ctx.binom2
+                # each right mask written twice over 2q bits, so that a right
+                # shift by t in [0, q) leaves the rotation by -t in its low q bits
+                right = [
+                    (row2, m2, m2p, mask | mask << q)
+                    for row2, ((m2, m2p), mask) in enumerate(zip(other.terms, other._masks))
+                ]
+            for row2, m2, m2p, twice2 in right:
+                # Support lemma: h = f1(w - 2m2) f2(w - 2m1') is zero exactly
+                # when the support of f1 shifted by 2m2 misses that of f2
+                # shifted by 2m1', that is when supp f1 misses supp f2
+                # rotated by 2(m1' - m2).
                 if not mask1 & (twice2 >> (2 * (m2 - m1p)) % q):
                     continue
-                # the i-independent part of the middle factor, nonzero here
-                h = f1[sh[(-2 * m2) % q]] * f2[sh[(-2 * m1p) % q]] % p
                 for i in range(min(m1p, m2) + 1):
                     mm = m1 + m2 - i
                     mmp = m1p + m2p - i
-                    k1 = int(bin2[mm, m1])
-                    k2 = int(bin2[mmp, m2p])
                     if mm >= nmax or mmp >= nmax:
                         # base-p carry: the coefficient vanishes mod p
-                        assert (mm < nmax or k1 == 0) and (mmp < nmax or k2 == 0)
+                        assert (mm < nmax or bin2.item(mm, m1) == 0) and (
+                            mmp < nmax or bin2.item(mmp, m2p) == 0
+                        )
                         continue
-                    k = k1 * k2 % p
+                    k = bin2.item(mm, m1) * bin2.item(mmp, m2p) % p
                     if k == 0:
                         continue
-                    c = (m1p + m2 - 2 * i) % q
-                    mid = h[sh[(2 * i) % q]] * pas[sh[(-c) % q], i] % p * k
-                    key = (mm, mmp)
-                    if key in acc:
-                        acc[key] += mid
-                    else:
-                        acc[key] = mid
-        return HyperElem(ctx, acc)
+                    # the term Y^(mm) mid X^(mmp) with
+                    # mid(w) = h(w + 2i) C(w - c, i) k,  c = m1' + m2 - 2i
+                    rows += (
+                        2 * (i - m2) % q,
+                        2 * (i - m1p) % q,
+                        (2 * i - m1p - m2) % q,
+                        row1 * q,
+                        row2 * q,
+                        i,
+                        k,
+                        slots.setdefault((mm, mmp), len(slots)),
+                    )
+        if not rows:
+            return HyperElem(ctx, {})
+        cols = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+        # flat indices of f1(w + s1), f2(w + s2) and C(w + s3, i), all w at once
+        idx = cols[:3, :, None] + np.arange(q)
+        idx %= q
+        idx[2] *= q
+        idx += cols[3:6, :, None]
+        # exact in int64: four factors below p < 2**12 multiply to less than
+        # 2**48, and a key sums at most one row per term pair, so at most
+        # q**4 <= 2**48 rows below p
+        mid = self._block.ravel()[idx[0]] * other._block.ravel()[idx[1]]
+        mid *= ctx.pascal.ravel()[idx[2]]
+        mid *= cols[6, :, None]
+        mid %= p
+        acc = np.zeros((len(slots), q), dtype=np.int64)
+        np.add.at(acc, cols[7], mid)
+        return HyperElem(ctx, dict(zip(slots, acc)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, np.integer)):
@@ -334,7 +378,7 @@ def y_power(k: int, ctx: AlgebraCtx) -> HyperElem:
 
 def shift_weightfn(f: np.ndarray, s: int, ctx: AlgebraCtx) -> np.ndarray:
     """The vector w |-> f((w + s) mod p**rprime)."""
-    return f[ctx.shift[s % ctx.q]]
+    return f[(np.arange(ctx.q) + s) % ctx.q]
 
 
 def degree_decompose(u: HyperElem) -> dict[int, HyperElem]:
@@ -424,16 +468,32 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_field(obj, key: str, what: str):
+    # malformed structure is a ValueError naming the field, never a
+    # KeyError or TypeError
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} has no field {key!r}")
+    return obj[key]
+
+
 def element_from_json(data: dict) -> HyperElem:
-    ctx = AlgebraCtx(*(_json_int(data[k], k) for k in ("p", "r", "rprime")))
+    ctx = AlgebraCtx(
+        *(_json_int(_json_field(data, k, "element"), k) for k in ("p", "r", "rprime"))
+    )
+    items = _json_field(data, "terms", "element")
+    if not isinstance(items, list):
+        raise ValueError(f"terms must be a list, got {type(items).__name__}")
     terms: dict[tuple[int, int], np.ndarray] = {}
-    for t in data["terms"]:
-        key = (_json_int(t["yexp"], "yexp"), _json_int(t["xexp"], "xexp"))
+    for t in items:
+        key = tuple(_json_int(_json_field(t, k, "term"), k) for k in ("yexp", "xexp"))
         if key in terms:
             raise ValueError(f"duplicate term {key}")
-        if not isinstance(t["h_eval"], list):
-            raise ValueError(f"h_eval must be a list, got {t['h_eval']!r}")
-        vals = [_json_int(v, "h_eval entry") % ctx.p for v in t["h_eval"]]
+        h_eval = _json_field(t, "h_eval", "term")
+        if not isinstance(h_eval, list):
+            raise ValueError(f"h_eval must be a list, got {h_eval!r}")
+        vals = [_json_int(v, "h_eval entry") % ctx.p for v in h_eval]
         terms[key] = np.array(vals, dtype=np.int64)
     return HyperElem(ctx, terms)
 

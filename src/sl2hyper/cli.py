@@ -10,7 +10,9 @@ including the seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .algebra import AlgebraCtx, element_to_json, format_element
@@ -68,6 +70,21 @@ def _context(args: argparse.Namespace) -> AlgebraCtx:
         return AlgebraCtx(args.p, args.r, rprime)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+
+
+def _check_out(out: str | None) -> None:
+    # fail before any work when --out can never be written; the path is only
+    # inspected, so an existing file is not truncated by a failing command
+    if out is None:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise UsageError(f"cannot write {out}: {os.strerror(code)}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -204,6 +221,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except (UsageError, LabelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

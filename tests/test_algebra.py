@@ -26,7 +26,8 @@ from sl2hyper.algebra import (
     weightfn_to_coeffs,
     zero,
 )
-from sl2hyper.pims import weyl_action
+from sl2hyper.idempotents import enumerate_labels, tuple_idempotent
+from sl2hyper.pims import weight_of_idempotent, weyl_action
 
 SEED = 20240601
 
@@ -116,15 +117,17 @@ def test_multiply_against_weyl_oracle():
 
 
 def product_per_pair(u, v):
-    # the term-pair loop without the support-mask filter: every pair forms
-    # h and is dropped only when h is zero
+    # the term-pair loop without the support-mask filters or the batching:
+    # every pair forms h with np.roll and is dropped only when h is zero,
+    # and every (pair, i) contribution is added into its key on its own
     ctx = u.ctx
-    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
-    sh, pas, bin2 = ctx.shift, ctx.pascal, ctx.binom2
+    p, nmax = ctx.p, ctx.xy_range
+    pas, bin2 = ctx.pascal, ctx.binom2
     acc = {}
     for (m1, m1p), f1 in u.terms.items():
         for (m2, m2p), f2 in v.terms.items():
-            h = f1[sh[(-2 * m2) % q]] * f2[sh[(-2 * m1p) % q]] % p
+            # h(w) = f1(w - 2m2) f2(w - 2m1')
+            h = np.roll(f1, 2 * m2) * np.roll(f2, 2 * m1p) % p
             if not h.any():
                 continue
             for i in range(min(m1p, m2) + 1):
@@ -134,8 +137,9 @@ def product_per_pair(u, v):
                 k = int(bin2[mm, m1]) * int(bin2[mmp, m2p]) % p
                 if k == 0:
                     continue
-                c = (m1p + m2 - 2 * i) % q
-                mid = h[sh[(2 * i) % q]] * pas[sh[(-c) % q], i] % p * k
+                # mid(w) = h(w + 2i) C(w - c, i) k
+                c = m1p + m2 - 2 * i
+                mid = np.roll(h, -2 * i) * np.roll(pas[:, i], c) % p * k
                 acc[(mm, mmp)] = acc[(mm, mmp)] + mid if (mm, mmp) in acc else mid
     return HyperElem(ctx, acc)
 
@@ -154,8 +158,10 @@ def sparse_elem(draw, ctx):
     run = st.builds(
         lambda a, n: [(a + j) % q for j in range(n)], st.integers(0, q - 1), st.integers(1, q)
     )
+    # up to ten terms, so that products have many (pair, i) contributions,
+    # output keys reached from several pairs, and base-p carries
     terms = {}
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 10))):
         vec = np.zeros(q, dtype=np.int64)
         for w in draw(st.one_of(scattered, run)):
             vec[w] = draw(st.integers(1, p - 1))
@@ -165,7 +171,8 @@ def sparse_elem(draw, ctx):
 
 # (2,1,7) has q = 128, so its support masks span several machine words
 @pytest.mark.parametrize(
-    "p, r, rprime", [(2, 1, 1), (2, 3, 3), (3, 2, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)]
+    "p, r, rprime",
+    [(2, 1, 1), (2, 3, 3), (3, 2, 3), (3, 3, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)],
 )
 def test_support_filter_matches_per_pair_products(p, r, rprime):
     ctx = AlgebraCtx(p, r, rprime)
@@ -176,6 +183,28 @@ def test_support_filter_matches_per_pair_products(p, r, rprime):
         assert u * v == product_per_pair(u, v)
 
     check()
+
+
+def idempotents_by_weight(ctx):
+    es = [tuple_idempotent(lb, ctx) for lb in enumerate_labels(ctx)]
+    return es, [weight_of_idempotent(e) for e in es]
+
+
+def test_kernel_matches_per_pair_products_on_idempotents():
+    # real operands: e_i e_j for same-weight pairs has many (pair, i)
+    # contributions per output key; other pairs are skipped row by row
+    es, ws = idempotents_by_weight(AlgebraCtx(3, 2, 2))
+    same = [(a, b) for a in range(len(es)) for b in range(len(es)) if ws[a] == ws[b]]
+    assert len(same) == 144
+    for a, b in same:
+        assert es[a] * es[b] == product_per_pair(es[a], es[b])
+    es, ws = idempotents_by_weight(AlgebraCtx(3, 2, 3))
+    pairs = [(a, b) for a in range(len(es)) for b in range(len(es))]
+    rng = random.Random(SEED)
+    same = rng.sample([ab for ab in pairs if ws[ab[0]] == ws[ab[1]]], 100)
+    other = rng.sample([ab for ab in pairs if ws[ab[0]] != ws[ab[1]]], 200)
+    for a, b in same + other:
+        assert es[a] * es[b] == product_per_pair(es[a], es[b])
 
 
 def test_degree_decompose():
@@ -328,6 +357,25 @@ def test_json_round_trip():
             element_from_json({**good, "terms": [{**good["terms"][0], "h_eval": [0, bad]}]})
     with pytest.raises(ValueError):
         element_from_json({**good, "terms": [{**good["terms"][0], "h_eval": "01"}]})
+    # malformed structure: a missing field, a non-list terms, a non-object
+    # term or document is a ValueError that names the field
+    for key in ("p", "r", "rprime", "terms"):
+        doc = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValueError, match=f"element has no field '{key}'"):
+            element_from_json(doc)
+    for key in ("yexp", "xexp", "h_eval"):
+        term = {k: v for k, v in good["terms"][0].items() if k != key}
+        with pytest.raises(ValueError, match=f"term has no field '{key}'"):
+            element_from_json({**good, "terms": [term]})
+    for bad in ({"yexp": 1}, "terms", 3, None):
+        with pytest.raises(ValueError, match="terms must be a list"):
+            element_from_json({**good, "terms": bad})
+    for bad in ([1, 1, [0, 1]], "term", 7, None):
+        with pytest.raises(ValueError, match="term must be a JSON object"):
+            element_from_json({**good, "terms": [bad]})
+    for bad in ([good], "{}", 2, None):
+        with pytest.raises(ValueError, match="element must be a JSON object"):
+            element_from_json(bad)
 
 
 def test_format_element():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sl2hyper import cli
 from sl2hyper.algebra import AlgebraCtx, element_from_json
 from sl2hyper.cli import main
 from sl2hyper.idempotents import parse_label, tuple_idempotent
@@ -167,6 +168,25 @@ def test_out_path_unwritable(capsys, tmp_path):
             code, stdout, err = run(capsys, *cmd, "--format", "json", "--out", str(out))
             assert code == 2 and stdout == ""
             assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
+
+def test_out_path_checked_before_the_work(capsys, tmp_path, monkeypatch):
+    # an unwritable --out fails before the table is computed
+    def never(ctx):
+        raise AssertionError("pim_rows ran before the --out check")
+
+    monkeypatch.setattr(cli, "pim_rows", never)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x.json", tmp_path, tmp_path / "file" / "x.json"):
+        code, stdout, err = run(capsys, "pim-table", "--p", "3", "--r", "2", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    # a writable path is only inspected: a command that fails keeps the file
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old contents\n")
+    code, _, err = run(capsys, "show", "--p", "3", "--label", "9:0", "--out", str(kept))
+    assert code == 2 and "cannot write" not in err
+    assert kept.read_text() == "old contents\n"
 
 
 def test_argparse_usage_exit_code():

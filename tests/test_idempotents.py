@@ -370,6 +370,7 @@ def test_term_arrays_cannot_be_made_writeable():
     e = tuple_idempotent(label, ctx)
     for u in (e, one(ctx), e * gen_x(1, ctx)):
         for vec in u.terms.values():
+            assert vec.base is u._block
             for arr in (vec, vec.base):
                 with pytest.raises(ValueError):
                     arr.setflags(write=True)
@@ -406,6 +407,7 @@ def test_attributes_cannot_be_rebound():
         ("ctx", AlgebraCtx(3, 2, 2)),
         ("terms", dict(gen_x(1, ctx).terms)),
         ("_masks", ()),
+        ("_block", gen_x(1, ctx)._block),
     ]:
         with pytest.raises(AttributeError):
             setattr(e, name, value)
