@@ -39,12 +39,17 @@ exactly when its support meets (union of all U_2) rotated by +2m1' (the
 and skips every left term that misses it, with its whole row of pairs; the
 per-pair test runs only in the rows that remain.
 
+A (term pair, i) contribution has coefficient C(m1+m2-i, m1) C(m1'+m2'-i, m2')
+mod p.  Once m1 + (m2 - i) reaches p**r the base-p addition carries, and
+Kummer gives C(m1+m2-i, m1) = 0; likewise for the primed pair.  So i starts
+at max(0, m1 + m2 - p**r + 1, m1' + m2' - p**r + 1), the *Kummer bound*.
+
 Multiplication is one batched kernel per product.  The surviving (term
 pair, i) contributions are collected as plain integer lists: shifts, row
 offsets, i, the binomial coefficient k and the output key.  Every middle
 factor is then formed at once by fancy-index gathers from the two
 operands' blocks and the Pascal table at the indices (w + s) % q, reduced
-mod p, and added row by row into its output key.  No shift table is kept.
+mod p, and added row by row into its output key.  No other table is cached.
 """
 
 from __future__ import annotations
@@ -81,19 +86,19 @@ __all__ = [
 ]
 
 
-# Largest q = p**rprime a context may have: the cached q x q int64 Pascal
-# table (ctx.pascal) already takes 128 MiB at this size.
+# Largest q = p**rprime a context may have: the q x q int64 Pascal table
+# (ctx.pascal), the only cached table, already takes 128 MiB at this size.
 _MAX_Q = 4096
 
 
 @functools.lru_cache(maxsize=None)
 def _pascal(p: int, size: int) -> np.ndarray:
-    # C(w, n) mod p for 0 <= w, n < size; lower unitriangular.
+    # C(w, n) mod p for 0 <= w, n < size; lower unitriangular; shared, so read-only
     out = np.zeros((size, size), dtype=np.int64)
     out[:, 0] = 1
     for w in range(1, size):
         out[w, 1:] = (out[w - 1, 1:] + out[w - 1, :-1]) % p
-    return out
+    return np.ndarray(out.shape, np.int64, out.tobytes())
 
 
 @dataclass(frozen=True)
@@ -135,10 +140,6 @@ class AlgebraCtx:
     @property
     def pascal(self) -> np.ndarray:
         return _pascal(self.p, self.q)
-
-    @property
-    def binom2(self) -> np.ndarray:
-        return _pascal(self.p, 2 * self.xy_range)
 
 
 def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, tuple[int, ...], np.ndarray]:
@@ -258,6 +259,7 @@ class HyperElem:
             union |= (mask | mask << q) >> 2 * m2 % q
         union &= (1 << q) - 1
         union |= union << q
+        pas = ctx.pascal
         right = None
         # per contribution: shifts into f1, f2 and the Pascal column, the row
         # offsets of f1, f2 and the column i, the coefficient k, the output slot
@@ -267,7 +269,6 @@ class HyperElem:
             if not mask1 & union >> (-2 * m1p) % q:
                 continue
             if right is None:
-                bin2 = ctx.binom2
                 # each right mask written twice over 2q bits, so that a right
                 # shift by t in [0, q) leaves the rotation by -t in its low q bits
                 right = [
@@ -281,16 +282,13 @@ class HyperElem:
                 # rotated by 2(m1' - m2).
                 if not mask1 & (twice2 >> (2 * (m2 - m1p)) % q):
                     continue
-                for i in range(min(m1p, m2) + 1):
+                # Kummer bound: below it m1 + (m2 - i) or m2' + (m1' - i)
+                # carries out of the top base-p digit, so k = 0 mod p
+                lo = max(0, m1 + m2 - nmax + 1, m1p + m2p - nmax + 1)
+                for i in range(lo, min(m1p, m2) + 1):
                     mm = m1 + m2 - i
                     mmp = m1p + m2p - i
-                    if mm >= nmax or mmp >= nmax:
-                        # base-p carry: the coefficient vanishes mod p
-                        assert (mm < nmax or bin2.item(mm, m1) == 0) and (
-                            mmp < nmax or bin2.item(mmp, m2p) == 0
-                        )
-                        continue
-                    k = bin2.item(mm, m1) * bin2.item(mmp, m2p) % p
+                    k = pas.item(mm, m1) * pas.item(mmp, m2p) % p
                     if k == 0:
                         continue
                     # the term Y^(mm) mid X^(mmp) with
@@ -317,7 +315,7 @@ class HyperElem:
         # 2**48, and a key sums at most one row per term pair, so at most
         # q**4 <= 2**48 rows below p
         mid = self._block.ravel()[idx[0]] * other._block.ravel()[idx[1]]
-        mid *= ctx.pascal.ravel()[idx[2]]
+        mid *= pas.ravel()[idx[2]]
         mid *= cols[6, :, None]
         mid %= p
         acc = np.zeros((len(slots), q), dtype=np.int64)
@@ -354,16 +352,14 @@ def gen_y(n: int, ctx: AlgebraCtx) -> HyperElem:
 
 def gen_h_binom(n: int, ctx: AlgebraCtx) -> HyperElem:
     """The torus binomial C(H, n)."""
-    if not 0 <= n < ctx.q:
-        raise ValueError(f"torus index {n} out of range for {ctx}")
-    return HyperElem(ctx, {(0, 0): ctx.pascal[:, n].copy()})
+    return pbw_elem(0, n, 0, ctx)
 
 
 def pbw_elem(m: int, n: int, mprime: int, ctx: AlgebraCtx) -> HyperElem:
     """The basis element Y^(m) C(H, n) X^(m')."""
     if not 0 <= n < ctx.q:
         raise ValueError(f"torus index {n} out of range for {ctx}")
-    return HyperElem(ctx, {(m, mprime): ctx.pascal[:, n].copy()})
+    return HyperElem(ctx, {(m, mprime): ctx.pascal[:, n]})
 
 
 def x_power(k: int, ctx: AlgebraCtx) -> HyperElem:

@@ -78,7 +78,9 @@ def _check_out(out: str | None) -> None:
     if out is None:
         return
     parent = os.path.dirname(os.path.abspath(out))
-    if os.path.isdir(out):
+    if not out:
+        code = errno.ENOENT  # as open("") fails; abspath("") would be the cwd
+    elif os.path.isdir(out):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT

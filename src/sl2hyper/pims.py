@@ -191,7 +191,7 @@ def left_ideal_dim(e: HyperElem) -> int:
     ctx = e.ctx
     p, nmax = ctx.p, ctx.xy_range
     stride = nmax * ctx.q  # coordinate step from Y^(m) to Y^(m+1)
-    bin2 = ctx.binom2[:nmax, :nmax].tolist()
+    pas = ctx.pascal[:nmax, :nmax].tolist()
     blocks: dict[int, IdealBasis] = {}
     for b in range(nmax):
         by_m: dict[int, list[tuple[int, int]]] = {}
@@ -200,10 +200,11 @@ def left_ideal_dim(e: HyperElem) -> int:
         for a in range(nmax):
             # Y^(a) Y^(m) C(H,n) X^(m') = C(a+m, a) Y^(a+m) C(H,n) X^(m'); the
             # entry drops when a + m >= p**r, where Kummer gives C(a+m, a) = 0
+            # (the product kernel's bound), so pas needs only the p**r corner
             shift = a * stride
             row: dict[int, int] = {}
             for m, entries in by_m.items():
-                k = bin2[a + m][a] if a + m < nmax else 0
+                k = pas[a + m][a] if a + m < nmax else 0
                 if k:
                     row.update((idx + shift, k * val % p) for idx, val in entries)
             if row:

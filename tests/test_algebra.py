@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -27,6 +28,7 @@ from sl2hyper.algebra import (
     zero,
 )
 from sl2hyper.idempotents import enumerate_labels, tuple_idempotent
+from sl2hyper.modp import binom_mod_p
 from sl2hyper.pims import weight_of_idempotent, weyl_action
 
 SEED = 20240601
@@ -79,6 +81,21 @@ def test_shift_weightfn():
         assert np.array_equal(shift_weightfn(shift_weightfn(g, s, ctx), -s, ctx), g)
 
 
+def test_pascal_table_is_read_only():
+    # the table is cached per (p, q) and shared: a write into it would change
+    # every later gen_h_binom and product in that context (p = 11 is used by
+    # no other test, so a writeable table cannot leak into them)
+    ctx = AlgebraCtx(11, 1, 1)
+    pas = ctx.pascal
+    with pytest.raises(ValueError):
+        pas[:, 1] = 0
+    with pytest.raises(ValueError):
+        pas.setflags(write=True)
+    with pytest.raises(ValueError):
+        pas[:, 1].setflags(write=True)
+    assert gen_h_binom(1, ctx).terms[(0, 0)].tolist() == list(range(11))
+
+
 def test_multiply_cross_example():
     # X^(1) Y^(1) = Y^(1) X^(1) + C(H, 1) in any context
     for ctx in (AlgebraCtx(3, 1, 1), AlgebraCtx(5, 2, 2), AlgebraCtx(2, 1, 2)):
@@ -116,13 +133,20 @@ def test_multiply_against_weyl_oracle():
             )
 
 
+@functools.cache
+def binom_column(p, q, i):
+    # C(w, i) mod p for w < q, from modp rather than the Pascal table
+    return np.array([binom_mod_p(w, i, p) for w in range(q)], dtype=np.int64)
+
+
 def product_per_pair(u, v):
-    # the term-pair loop without the support-mask filters or the batching:
-    # every pair forms h with np.roll and is dropped only when h is zero,
-    # and every (pair, i) contribution is added into its key on its own
+    # the term-pair loop without the support-mask filters, the Kummer bound
+    # or the batching: every pair forms h with np.roll and is dropped only
+    # when h is zero, every i from 0 is visited, and every (pair, i)
+    # contribution is added into its key on its own; all binomials come
+    # from modp.binom_mod_p, not from the table the kernel reads
     ctx = u.ctx
-    p, nmax = ctx.p, ctx.xy_range
-    pas, bin2 = ctx.pascal, ctx.binom2
+    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
     acc = {}
     for (m1, m1p), f1 in u.terms.items():
         for (m2, m2p), f2 in v.terms.items():
@@ -132,14 +156,16 @@ def product_per_pair(u, v):
                 continue
             for i in range(min(m1p, m2) + 1):
                 mm, mmp = m1 + m2 - i, m1p + m2p - i
+                k = binom_mod_p(mm, m1, p) * binom_mod_p(mmp, m2p, p) % p
                 if mm >= nmax or mmp >= nmax:
+                    # a base-p carry out of the top digit: Kummer makes k vanish
+                    assert k == 0
                     continue
-                k = int(bin2[mm, m1]) * int(bin2[mmp, m2p]) % p
                 if k == 0:
                     continue
                 # mid(w) = h(w + 2i) C(w - c, i) k
                 c = m1p + m2 - 2 * i
-                mid = np.roll(h, -2 * i) * np.roll(pas[:, i], c) % p * k
+                mid = np.roll(h, -2 * i) * np.roll(binom_column(p, q, i), c) % p * k
                 acc[(mm, mmp)] = acc[(mm, mmp)] + mid if (mm, mmp) in acc else mid
     return HyperElem(ctx, acc)
 

@@ -177,7 +177,7 @@ def test_out_path_checked_before_the_work(capsys, tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "pim_rows", never)
     (tmp_path / "file").write_text("")
-    for out in (tmp_path / "missing" / "x.json", tmp_path, tmp_path / "file" / "x.json"):
+    for out in ("", tmp_path / "missing" / "x.json", tmp_path, tmp_path / "file" / "x.json"):
         code, stdout, err = run(capsys, "pim-table", "--p", "3", "--r", "2", "--out", str(out))
         assert code == 2 and stdout == ""
         assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err

@@ -58,6 +58,17 @@ def test_lucas_factorization_exhaustive(p):
                     assert lhs == low * binom_mod_p(mh, nh, p) % p
 
 
+@pytest.mark.parametrize("p, r", [(2, 1), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_kummer_carry_out_of_the_top_digit(p, r):
+    # a, j < p^r with a + j >= p^r: adding them in base p carries out of the
+    # top digit, so C(a + j, a) = 0 mod p (Kummer); HyperElem.__mul__ starts
+    # its i-range past every such carry
+    n = p**r
+    for a in range(n):
+        for j in range(n - a, n):
+            assert binom_mod_p(a + j, a, p) == 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pascal_rule(p):
     for z in range(-50, 51):
