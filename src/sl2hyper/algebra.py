@@ -14,8 +14,10 @@ products, and moving f across X^(n) or Y^(n) into index shifts:
     f * X^(n) = X^(n) * shift(f, +2n),    f * Y^(n) = Y^(n) * shift(f, -2n),
 
 where shift(f, s)(w) = f(w + s).  The binomial-coefficient basis is
-recovered through the unitriangular Pascal matrix C(w, n), which is what
-the Frobenius maps and the JSON round trip go through.
+recovered through the unitriangular Pascal matrix C(w, n).  It is used
+only to print an element (`format_element`) and for the coordinates the
+left-ideal census ranks in; the Frobenius maps and JSON stay in
+evaluation form.
 
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p and support-masked in one pass each.  The block sits in a read-only
@@ -228,12 +230,7 @@ class HyperElem:
         return HyperElem(self.ctx, {k: (-v) % p for k, v in self.terms.items()})
 
     def __sub__(self, other: "HyperElem") -> "HyperElem":
-        self._check(other)
-        p = self.ctx.p
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = (out[k] - v) % p if k in out else (-v) % p
-        return HyperElem(self.ctx, out)
+        return self + (-other)
 
     def _check(self, other: "HyperElem") -> None:
         if self.ctx != other.ctx:
@@ -405,18 +402,21 @@ def coeffs_to_weightfn(c: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
 
 
 def fr(u: HyperElem) -> HyperElem:
-    """The Frobenius map: divides all exponents by p, killing non-multiples."""
+    """The Frobenius map: divides all exponents by p, killing non-multiples.
+
+    On the torus factor it sends C(H, n) to C(H, n/p) when p | n and to 0
+    otherwise.  In evaluation form that is g(w) = f(p*w), i.e. f[::p]
+    (Lucas lemma: the last base-p digit of p*w is 0, so C(p*w, n) is
+    C(w, n/p) mod p when p | n and 0 otherwise).
+    """
     ctx = u.ctx
     if ctx.r < 2:
         raise ValueError("Frobenius target context would be degenerate for r = 1")
-    tgt = AlgebraCtx(ctx.p, ctx.r - 1, ctx.rprime - 1)
     p = ctx.p
-    out = {}
-    for (m, mp_), f in u.terms.items():
-        if m % p or mp_ % p:
-            continue
-        kept = weightfn_to_coeffs(f, ctx)[::p]
-        out[(m // p, mp_ // p)] = coeffs_to_weightfn(kept, tgt)
+    tgt = AlgebraCtx(p, ctx.r - 1, ctx.rprime - 1)
+    out = {
+        (m // p, mp_ // p): f[::p] for (m, mp_), f in u.terms.items() if not (m % p or mp_ % p)
+    }
     return HyperElem(tgt, out)
 
 

@@ -91,7 +91,12 @@ def _check_out(out: str | None) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        # a full or closed stdout is a usage error (exit 2), not a failed check
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise UsageError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -127,7 +132,7 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
         lines.append(f"count: {len(entries)}")
         _emit("\n".join(lines) + "\n", args.out)
     if args.out is not None:
-        print(f"{len(entries)} idempotents written to {args.out}")
+        _emit(f"{len(entries)} idempotents written to {args.out}\n", None)
     return EXIT_OK
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from .algebra import (
     AlgebraCtx,
     HyperElem,
-    coeffs_to_weightfn,
     gen_h_binom,
     gen_x,
     gen_y,
@@ -97,11 +96,11 @@ class IdealBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def add(self, v: HyperElem) -> HyperElem | None:
-        """Reduce v into the basis; the new basis row as an element, or
-        None when v already lies in the span."""
-        row = self.add_coords(_elem_coords(v), v.ctx.p)
-        return None if row is None else _coords_elem(row, v.ctx)
+    def add(self, v: HyperElem) -> bool:
+        """Reduce v into the basis; True when the span grew, False when v
+        already lies in it.  A closure feeds back v itself, not its reduced
+        row (closure lemma, see left_ideal_span)."""
+        return self.add_coords(_elem_coords(v), v.ctx.p) is not None
 
     def add_coords(self, row: dict[int, int], p: int) -> dict[int, int] | None:
         """Reduce a sparse coordinate row (consumed) with lowest-index pivoting.
@@ -136,15 +135,6 @@ def _elem_coords(v: HyperElem) -> dict[int, int]:
     return out
 
 
-def _coords_elem(row: dict[int, int], ctx: AlgebraCtx) -> HyperElem:
-    groups: dict[tuple[int, int], np.ndarray] = {}
-    for idx, val in row.items():
-        key, n = divmod(idx, ctx.q)
-        m, mp_ = divmod(key, ctx.xy_range)
-        groups.setdefault((m, mp_), np.zeros(ctx.q, dtype=np.int64))[n] = val
-    return HyperElem(ctx, {k: coeffs_to_weightfn(c, ctx) for k, c in groups.items()})
-
-
 def _sub_multiple(row: dict[int, int], other: dict[int, int], coef: int, p: int) -> None:
     # row -= coef * other over F_p, in place, keeping row sparse
     for c, val in other.items():
@@ -159,8 +149,11 @@ def left_ideal_span(e: HyperElem) -> IdealBasis:
     """Echelon basis of the left ideal generated by e.
 
     Closure under left multiplication by the algebra generators
-    X^(p^i), Y^(p^i) (i < r) and C(H, p^l) (l < rprime): every new basis
-    row is multiplied by each generator and fed back to IdealBasis.add.
+    X^(p^i), Y^(p^i) (i < r) and C(H, p^l) (l < rprime): every element
+    that grows the span is multiplied by each generator and fed back to
+    IdealBasis.add.  The accepted elements span the ideal (closure lemma):
+    their span S contains e, and for each accepted w every g*w was fed
+    back and so lies in S, hence g*S lies in S by linearity.
     """
     if e.is_zero():
         raise ValueError("the zero element spans nothing")
@@ -172,8 +165,8 @@ def left_ideal_span(e: HyperElem) -> IdealBasis:
     basis = IdealBasis()
     work = [e]
     while work:
-        w = basis.add(work.pop())
-        if w is not None:
+        w = work.pop()
+        if basis.add(w):
             work.extend(g * w for g in gens)
     return basis
 

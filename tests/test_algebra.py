@@ -488,3 +488,44 @@ def test_embed_commutes_with_fr_prime(elems):
     for target in (AlgebraCtx(p, r, rp + 1), AlgebraCtx(p, r + 1, rp + 1)):
         lifted = AlgebraCtx(p, target.r + 1, target.rprime + 1)
         assert fr_prime(embed(u, target)) == embed(fr_prime(u), lifted)
+
+
+def fr_via_coeffs(u):
+    # the Frobenius map through the binomial basis: C(H, n) |-> C(H, n/p)
+    # when p | n, else 0
+    ctx = u.ctx
+    p = ctx.p
+    tgt = AlgebraCtx(p, ctx.r - 1, ctx.rprime - 1)
+    out = {}
+    for (m, mp), f in u.terms.items():
+        if m % p == 0 and mp % p == 0:
+            out[(m // p, mp // p)] = coeffs_to_weightfn(weightfn_to_coeffs(f, ctx)[::p], tgt)
+    return HyperElem(tgt, out)
+
+
+@st.composite
+def frobenius_elem(draw, ctx):
+    # keys biased to exponents divisible by p, which fr keeps; torus factors
+    # arbitrary (sparse or dense), so most lie outside fr_prime's image
+    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
+    kept = st.sampled_from(range(0, nmax, p))
+    keys = st.one_of(st.tuples(kept, kept), st.tuples(*[st.integers(0, nmax - 1)] * 2))
+    dense = st.lists(st.integers(0, p - 1), min_size=q, max_size=q)
+    sparse = st.dictionaries(st.integers(0, q - 1), st.integers(1, p - 1), min_size=1, max_size=3)
+    vecs = st.one_of(sparse.map(lambda d: [d.get(w, 0) for w in range(q)]), dense)
+    return HyperElem(ctx, draw(st.dictionaries(keys, vecs, min_size=1, max_size=6)))
+
+
+# contexts with r >= 2, where fr has a target
+FR_CTXS = [AlgebraCtx(*c) for c in [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (2, 3, 3), (5, 2, 2)]]
+
+
+@PROPERTY
+@given(st.sampled_from(FR_CTXS).flatmap(lambda ctx: st.tuples(*[frobenius_elem(ctx)] * 2)))
+def test_frobenius_by_lucas_slicing(elems):
+    # Lucas lemma: C(p*w, n) = C(w, n/p) when p | n and 0 otherwise, so the
+    # evaluation vector of fr's torus factor is f[::p]
+    u, v = elems
+    assert fr(u) == fr_via_coeffs(u)
+    assert fr(v) == fr_via_coeffs(v)
+    assert fr(u * v) == fr(u) * fr(v)

@@ -1,4 +1,8 @@
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,3 +197,57 @@ def test_argparse_usage_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["idempotents"])  # missing --p
     assert exc.value.code == 2
+
+
+class _FullStdout:
+    # a stdout whose device is full, as /dev/full
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--p", "2", "--r", "1"),
+        ("show", "--p", "2", "--r", "1", "--label", "1:0"),
+        ("pim-table", "--p", "2", "--r", "1"),
+        ("idempotents", "--p", "2", "--r", "1", "--format", "json"),
+    ],
+    ids=["verify", "show", "pim-table", "idempotents"],
+)
+def test_stdout_write_error_is_a_usage_error(capsys, monkeypatch, argv):
+    # exit 1 means a check failed; a full stdout is exit 2 with a message
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_out_confirmation_write_error_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    path = tmp_path / "idem.txt"
+    code = main(["idempotents", "--p", "2", "--r", "1", "--out", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write standard output: ")
+    assert path.read_text().endswith("count: 3\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_dev_full_subprocess():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sl2hyper.cli", "verify", "--p", "2", "--r", "1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write standard output: ")
+    assert "Traceback" not in proc.stderr

@@ -14,6 +14,7 @@ from sl2hyper.idempotents import (
     weight_projector,
 )
 from sl2hyper.pims import (
+    IdealBasis,
     left_ideal_dim,
     left_ideal_span,
     pim_label_closed_form,
@@ -180,3 +181,16 @@ def test_left_ideal_dim_rejects_inputs_outside_the_lemma():
         left_ideal_dim(one(ctx))
     with pytest.raises(ValueError, match="weight vector"):
         left_ideal_dim(gen_x(1, ctx))  # homogeneous, every weight
+
+
+def test_ideal_basis_add_reports_growth():
+    # add returns True exactly when the span grows
+    ctx = AlgebraCtx(3, 1, 1)
+    vs = (one(ctx), gen_x(1, ctx), gen_h_binom(1, ctx), gen_x(1, ctx) * gen_h_binom(2, ctx))
+    basis = IdealBasis()
+    for dim, v in enumerate(vs, 1):
+        assert basis.add(v) is True and basis.dim == dim
+    assert basis.add(2 * vs[1]) is False
+    assert basis.add(vs[0] + 2 * vs[2] + vs[3]) is False
+    assert basis.add(zero(ctx)) is False
+    assert basis.dim == len(vs)
