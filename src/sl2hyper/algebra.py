@@ -14,10 +14,9 @@ products, and moving f across X^(n) or Y^(n) into index shifts:
     f * X^(n) = X^(n) * shift(f, +2n),    f * Y^(n) = Y^(n) * shift(f, -2n),
 
 where shift(f, s)(w) = f(w + s).  The binomial-coefficient basis is
-recovered through the unitriangular Pascal matrix C(w, n).  It is used
-only to print an element (`format_element`) and for the coordinates the
-left-ideal census ranks in; the Frobenius maps and JSON stay in
-evaluation form.
+recovered through the unitriangular Pascal matrix C(w, n), used only by
+`format_element`, the F_p row coordinates of `pims.IdealBasis` (census,
+`left_ideal_span`, verify's split-product rank) and verify's round trips.
 
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p and support-masked in one pass each.  The block sits in a read-only
@@ -404,11 +403,9 @@ def coeffs_to_weightfn(c: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
 def fr(u: HyperElem) -> HyperElem:
     """The Frobenius map: divides all exponents by p, killing non-multiples.
 
-    On the torus factor it sends C(H, n) to C(H, n/p) when p | n and to 0
-    otherwise.  In evaluation form that is g(w) = f(p*w), i.e. f[::p]
-    (Lucas lemma: the last base-p digit of p*w is 0, so C(p*w, n) is
-    C(w, n/p) mod p when p | n and 0 otherwise).
-    """
+    C(H, n) goes to C(H, n/p) if p | n, else 0; in evaluation form that is
+    f[::p] (Lucas lemma: p*w ends in base-p digit 0, so C(p*w, n) is
+    C(w, n/p) mod p if p | n, else 0)."""
     ctx = u.ctx
     if ctx.r < 2:
         raise ValueError("Frobenius target context would be degenerate for r = 1")

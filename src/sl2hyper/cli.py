@@ -10,6 +10,7 @@ including the seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -91,11 +92,16 @@ def _check_out(out: str | None) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        # a full or closed stdout is a usage error (exit 2), not a failed check
         try:
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
+            # a usage error (exit 2), not a failed check; the failed bytes stay
+            # buffered for the flush at exit, which fd 1 on os.devnull lets pass
+            with contextlib.suppress(AttributeError, OSError, ValueError):
+                fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(null, fd)
+                os.close(null)
             raise UsageError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:

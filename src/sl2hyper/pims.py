@@ -98,8 +98,7 @@ class IdealBasis:
 
     def add(self, v: HyperElem) -> bool:
         """Reduce v into the basis; True when the span grew, False when v
-        already lies in it.  A closure feeds back v itself, not its reduced
-        row (closure lemma, see left_ideal_span)."""
+        already lies in it (closure lemma: see left_ideal_span)."""
         return self.add_coords(_elem_coords(v), v.ctx.p) is not None
 
     def add_coords(self, row: dict[int, int], p: int) -> dict[int, int] | None:
@@ -149,11 +148,10 @@ def left_ideal_span(e: HyperElem) -> IdealBasis:
     """Echelon basis of the left ideal generated by e.
 
     Closure under left multiplication by the algebra generators
-    X^(p^i), Y^(p^i) (i < r) and C(H, p^l) (l < rprime): every element
-    that grows the span is multiplied by each generator and fed back to
-    IdealBasis.add.  The accepted elements span the ideal (closure lemma):
-    their span S contains e, and for each accepted w every g*w was fed
-    back and so lies in S, hence g*S lies in S by linearity.
+    X^(p^i), Y^(p^i) (i < r) and C(H, p^l) (l < rprime): each element
+    that grows the span is multiplied by each generator and fed back.
+    Closure lemma: the span S of the accepted elements holds e and each
+    g*w of an accepted w, so g*S lies in S by linearity; S is the ideal.
     """
     if e.is_zero():
         raise ValueError("the zero element spans nothing")
