@@ -35,10 +35,19 @@ integer operations alone, before any array is touched.
 The pair test reads supp f1 against supp f2 rotated by 2(m1' - m2), that
 is against U_2 rotated by +2m1' with U_2 = supp f2 rotated by -2m2.
 Rotation distributes over union, so one left term meets some right term
-exactly when its support meets (union of all U_2) rotated by +2m1' (the
-*union lemma*).  A product first builds that union from the right operand
-and skips every left term that misses it, with its whole row of pairs; the
-per-pair test runs only in the rows that remain.
+exactly when its support meets U rotated by +2m1', where U, the *right
+union*, is the union of all U_2 (the *union lemma*).  A product skips every
+left term that misses it, with its whole row of pairs; the per-pair test
+runs only in the rows that remain.
+
+Rotating that row test by -2m1' turns it into: supp f1 rotated by -2m1'
+meets U.  Let L, the *left union*, be the union over left terms of supp f1
+rotated by -2m1'.  Rotation distributes over union again, so some row
+survives exactly when L and U meet (the *two-sided union lemma*).  An
+element makes both unions as q-bit integers the first time it is a factor
+of a product, and keeps them.  A product whose L & U is 0 is zero by the
+support lemma: it is decided by one AND and returns the context's one
+shared zero element, the same object as `zero(ctx)`.
 
 A (term pair, i) contribution has coefficient C(m1+m2-i, m1) C(m1'+m2'-i, m2')
 mod p.  Once m1 + (m2 - i) reaches p**r the base-p addition carries, and
@@ -183,12 +192,14 @@ class HyperElem:
 
     `terms` is a read-only mapping to the rows of one read-only block,
     `_block`; `_masks` holds the support mask of each term, in the same
-    order.  The attributes cannot be rebound or deleted, so the masks and
-    the block always describe the terms and a cached element cannot be
-    changed in place.
+    order.  `_unions` is None until `_union_masks` first stores the pair
+    (L, U) of the two-sided union lemma (module docstring) there.  The
+    attributes cannot be rebound or deleted, so the masks, the unions and
+    the block always describe the terms and a cached element, the shared
+    zero included, cannot be changed in place.
     """
 
-    __slots__ = ("ctx", "terms", "_masks", "_block")
+    __slots__ = ("ctx", "terms", "_masks", "_block", "_unions")
 
     def __init__(self, ctx: AlgebraCtx, terms):
         out, masks, block = _canon(ctx, terms)
@@ -196,6 +207,7 @@ class HyperElem:
         object.__setattr__(self, "terms", types.MappingProxyType(out))
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_unions", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HyperElem is immutable: cannot set {name!r}")
@@ -231,6 +243,28 @@ class HyperElem:
     def __sub__(self, other: "HyperElem") -> "HyperElem":
         return self + (-other)
 
+    def _union_masks(self) -> tuple[int, int]:
+        """(L, U): the term masks rotated by -2m' and by -2m, ORed.
+
+        Made on the first product and kept, so the elements that are never
+        a factor (most of a large emitted set) carry no union ints.  Two
+        threads racing here store equal pairs.
+        """
+        unions = self._unions
+        if unions is None:
+            q = self.ctx.q
+            left = right = 0
+            for (m, mp_), mask in zip(self.terms, self._masks):
+                # written twice over 2q bits, a right shift by t in [0, q)
+                # leaves the rotation by -t in the low q bits
+                twice = mask | mask << q
+                left |= twice >> 2 * mp_ % q
+                right |= twice >> 2 * m % q
+            full = (1 << q) - 1
+            unions = left & full, right & full
+            object.__setattr__(self, "_unions", unions)
+        return unions
+
     def _check(self, other: "HyperElem") -> None:
         if self.ctx != other.ctx:
             raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
@@ -243,20 +277,29 @@ class HyperElem:
             return NotImplemented
         self._check(other)
         ctx = self.ctx
+        # Two-sided union lemma: the row test below, rotated by -2m1', asks
+        # whether supp f1 rotated by -2m1' meets the right union U; over all
+        # rows that is whether the left union L meets U.  If they are
+        # disjoint no row survives, so by the support lemma the product is 0.
+        left, _ = self._union_masks()
+        _, union = other._union_masks()
+        if not left & union:
+            return zero(ctx)
         p, q, nmax = ctx.p, ctx.q, ctx.xy_range
-        # Union lemma: rotation distributes over union, so the union over
-        # right terms of supp f2 rotated by -2m2, rotated by +2m1', is the
-        # union of the sets the support lemma below tests against supp f1.
-        # A left term whose support misses it meets no right term, and its
-        # whole row of term pairs is skipped.  Like the right masks below,
-        # the union is written twice over 2q bits.
-        union = 0
-        for (m2, _), mask in zip(other.terms, other._masks):
-            union |= (mask | mask << q) >> 2 * m2 % q
-        union &= (1 << q) - 1
+        # Union lemma: rotation distributes over union, so U rotated by +2m1'
+        # is the union of the sets the support lemma below tests against
+        # supp f1.  A left term whose support misses it meets no right term,
+        # and its whole row of term pairs is skipped.  U is written twice
+        # over 2q bits, so that a right shift by t in [0, q) leaves its
+        # rotation by -t in the low q bits.
         union |= union << q
         pas = ctx.pascal
-        right = None
+        # some row survives (L meets U), so the right masks are read; each is
+        # written twice over 2q bits, like U
+        right = [
+            (row2, m2, m2p, mask | mask << q)
+            for row2, ((m2, m2p), mask) in enumerate(zip(other.terms, other._masks))
+        ]
         # per contribution: shifts into f1, f2 and the Pascal column, the row
         # offsets of f1, f2 and the column i, the coefficient k, the output slot
         rows: list[int] = []
@@ -264,13 +307,6 @@ class HyperElem:
         for row1, ((m1, m1p), mask1) in enumerate(zip(self.terms, self._masks)):
             if not mask1 & union >> (-2 * m1p) % q:
                 continue
-            if right is None:
-                # each right mask written twice over 2q bits, so that a right
-                # shift by t in [0, q) leaves the rotation by -t in its low q bits
-                right = [
-                    (row2, m2, m2p, mask | mask << q)
-                    for row2, ((m2, m2p), mask) in enumerate(zip(other.terms, other._masks))
-                ]
             for row2, m2, m2p, twice2 in right:
                 # Support lemma: h = f1(w - 2m2) f2(w - 2m1') is zero exactly
                 # when the support of f1 shifted by 2m2 misses that of f2
@@ -300,7 +336,7 @@ class HyperElem:
                         slots.setdefault((mm, mmp), len(slots)),
                     )
         if not rows:
-            return HyperElem(ctx, {})
+            return zero(ctx)
         cols = np.array(rows, dtype=np.int64).reshape(-1, 8).T
         # flat indices of f1(w + s1), f2(w + s2) and C(w + s3, i), all w at once
         idx = cols[:3, :, None] + np.arange(q)
@@ -324,7 +360,11 @@ class HyperElem:
         return NotImplemented
 
 
-def zero(ctx: AlgebraCtx) -> HyperElem:
+@functools.lru_cache(maxsize=None)
+def zero(ctx: AlgebraCtx, /) -> HyperElem:
+    """The zero element: one shared instance per context, also returned by
+    every zero product.  (Positional only: the cache would key a keyword
+    call apart and make a second zero.)"""
     return HyperElem(ctx, {})
 
 

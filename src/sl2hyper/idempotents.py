@@ -382,8 +382,24 @@ def format_label(label: TupleLabel) -> str:
     return text
 
 
+def _numeral(field: str) -> int | None:
+    # An ASCII decimal numeral: no sign, space, underscore, other digit
+    # script or leading zero, so an accepted label prints back as written.
+    # (int() alone accepts all of those; isdigit() alone, any script.)
+    if not (field.isascii() and field.isdigit()) or (field[0] == "0" and field != "0"):
+        return None
+    try:
+        return int(field)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+
+
 def parse_label(text: str, ctx: AlgebraCtx) -> TupleLabel:
-    """Parse `a:t[,a:t]*[;aprime]` with t = 2j, validating against the context."""
+    """Parse `a:t[,a:t]*[;aprime]` with t = 2j, validating against the context.
+
+    Each of a, t and aprime is an ASCII decimal numeral without leading
+    zeros, so `format_label(parse_label(text, ctx)) == text`.
+    """
     p = ctx.p
     main, sep, ap_part = text.partition(";")
     pieces = main.split(",") if main else []
@@ -392,11 +408,8 @@ def parse_label(text: str, ctx: AlgebraCtx) -> TupleLabel:
     pairs = []
     for piece in pieces:
         a_s, colon, t_s = piece.partition(":")
-        try:
-            a, t = int(a_s), int(t_s)
-        except ValueError:
-            raise LabelError(f"malformed pair '{piece}' (expected 'a:t')") from None
-        if not colon:
+        a, t = _numeral(a_s), _numeral(t_s)
+        if not colon or a is None or t is None:
             raise LabelError(f"malformed pair '{piece}' (expected 'a:t')")
         try:
             pairs.append(make_pair(a, t, p))
@@ -408,10 +421,9 @@ def parse_label(text: str, ctx: AlgebraCtx) -> TupleLabel:
             raise LabelError("context has rprime = r; the ';aprime' part is not allowed")
         aprime = None
     else:
-        try:
-            aprime = int(ap_part)
-        except ValueError:
-            raise LabelError(f"label '{text}' needs ';aprime' in 0..{blocks - 1}") from None
+        aprime = _numeral(ap_part)
+        if aprime is None:
+            raise LabelError(f"label '{text}' needs ';aprime' in 0..{blocks - 1}")
         if not 0 <= aprime < blocks:
             raise LabelError(f"aprime = {aprime} out of range 0..{blocks - 1}")
     return TupleLabel(tuple(pairs), aprime)

@@ -12,6 +12,7 @@ Each check returns a CheckResult; nothing here prints or exits.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -45,6 +46,7 @@ from .fpoly import (
     yx_power_poly,
 )
 from .idempotents import (
+    TupleLabel,
     all_pairs,
     enumerate_labels,
     format_label,
@@ -60,6 +62,7 @@ from .idempotents import (
     yx_expansion,
     z_operator,
 )
+from .modp import binom_mod_p, digits_base_p, inv_mod_p
 from .pims import (
     IdealBasis,
     pim_rows,
@@ -119,8 +122,6 @@ def _check_mu_projectors(ctx: AlgebraCtx) -> CheckResult:
 
 def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
     # indicator construction must agree with C(w - a - 1, p^s - 1)
-    from .modp import binom_mod_p
-
     bad = []
     for s in range(1, ctx.rprime + 1):
         ps = ctx.p**s
@@ -136,8 +137,6 @@ def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
 
 
 def _decomposition_checks(ctx: AlgebraCtx) -> list[CheckResult]:
-    from .modp import digits_base_p
-
     p = ctx.p
     labels = enumerate_labels(ctx)
     expected = (p * (p + 1) // 2) ** ctx.r * p ** (ctx.rprime - ctx.r)
@@ -214,8 +213,6 @@ def _check_selector_partition(p: int) -> CheckResult:
 def _check_squares_shift(p: int) -> CheckResult:
     if p == 2:
         return CheckResult("squares-shift-identity", True, "table case, skipped")
-    from .modp import inv_mod_p
-
     bad = []
     van = squares_poly(p)
     half = inv_mod_p(2, p)
@@ -373,16 +370,12 @@ def _check_z_operator_laws(ctx: AlgebraCtx, rng: random.Random) -> CheckResult:
 def _check_telescoping(ctx: AlgebraCtx) -> CheckResult:
     if ctx.r < 2:
         return CheckResult("partial-sum-telescoping", True, "needs r >= 2, skipped")
-    import itertools
-
     p = ctx.p
     inner_ctx = AlgebraCtx(p, ctx.r, ctx.r)
     bad = []
     for pr0 in all_pairs(p):
         total = zero(inner_ctx)
         for inner in itertools.product(all_pairs(p), repeat=ctx.r - 1):
-            from .idempotents import TupleLabel
-
             total = total + tuple_idempotent(TupleLabel((pr0, *inner), None), inner_ctx)
         if total != embed(level1_idempotent(pr0, AlgebraCtx(p, 1, 1)), inner_ctx):
             bad.append(f"inner sum misses the level-1 idempotent of ({pr0.a},{pr0.two_j})")

@@ -1,6 +1,8 @@
 import functools
 import json
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -94,6 +96,31 @@ def test_pascal_table_is_read_only():
     with pytest.raises(ValueError):
         pas[:, 1].setflags(write=True)
     assert gen_h_binom(1, ctx).terms[(0, 0)].tolist() == list(range(11))
+
+
+def test_zero_is_shared():
+    # one zero per context: zero(ctx) and both empty exits of a product, the
+    # one-AND exit (disjoint unions) and the exit with no (pair, i) row
+    ctx = AlgebraCtx(3, 1, 2)
+    z = zero(ctx)
+    assert z is zero(ctx) and z is zero(AlgebraCtx(3, 1, 2))
+    assert z == HyperElem(ctx, {}) and z.is_zero()
+    assert zero(AlgebraCtx(3, 2, 2)) is not z
+    with pytest.raises(TypeError):
+        zero(ctx=ctx)
+    mu0 = HyperElem(ctx, {(0, 0): np.eye(ctx.q, dtype=np.int64)[0]})
+    mu1 = HyperElem(ctx, {(0, 0): np.eye(ctx.q, dtype=np.int64)[1]})
+    assert not mu0._union_masks()[0] & mu1._union_masks()[1]
+    assert mu0 * mu1 is z
+    # X^(1) X^(2) = C(3, 1) X^(3): L meets U, but the Kummer bound leaves no i
+    assert gen_x(1, ctx)._union_masks()[0] & gen_x(2, ctx)._union_masks()[1]
+    assert gen_x(1, ctx) * gen_x(2, ctx) is z
+    assert (z * one(ctx)) is z and (one(ctx) * z) is z
+    with pytest.raises(ValueError):
+        z._block.setflags(write=True)
+    with pytest.raises(TypeError):
+        z.terms[(0, 0)] = np.ones(ctx.q, dtype=np.int64)
+    assert z.terms == {} and z._masks == ()
 
 
 def test_multiply_cross_example():
@@ -231,6 +258,21 @@ def test_kernel_matches_per_pair_products_on_idempotents():
     other = rng.sample([ab for ab in pairs if ws[ab[0]] != ws[ab[1]]], 200)
     for a, b in same + other:
         assert es[a] * es[b] == product_per_pair(es[a], es[b])
+
+
+@pytest.mark.parametrize(
+    "p, r, rprime, disjoint", [(3, 2, 2, 1152), (3, 2, 3, 11232), (2, 3, 4, 2706)]
+)
+def test_unions_disjoint_exactly_across_weights(p, r, rprime, disjoint):
+    # a degree-0 weight vector's L and U are both the bit of its weight, so
+    # the one-AND exit takes exactly the ordered pairs of different weights
+    es, ws = idempotents_by_weight(AlgebraCtx(p, r, rprime))
+    for e, w in zip(es, ws):
+        assert e._union_masks() == (1 << w, 1 << w)
+    pairs = [(a, b) for a in range(len(es)) for b in range(len(es))]
+    skipped = [(a, b) for a, b in pairs if not es[a]._union_masks()[0] & es[b]._union_masks()[1]]
+    assert skipped == [(a, b) for a, b in pairs if ws[a] != ws[b]]
+    assert len(skipped) == disjoint
 
 
 def test_degree_decompose():
@@ -470,6 +512,58 @@ def test_ring_axioms(elems):
     assert u * (v + w) == u * v + u * w
     assert (u + v) * w == u * w + v * w
     assert e * u == u == u * e
+
+
+def test_unions_made_on_first_use_under_threads():
+    # an element fills in its unions on its first product; threads racing on
+    # fresh shared elements (more threads than cores, frequent switches) must
+    # all get the serial products and leave the serial unions
+    es, _ = idempotents_by_weight(AlgebraCtx(3, 2, 2))
+    want = [[a * b for b in es] for a in es]
+    fresh = [HyperElem(e.ctx, e.terms) for e in es]
+    results = [None] * 4
+
+    def work(k):
+        results[k] = [[a * b for b in fresh] for a in fresh]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(r == want for r in results)
+    assert [f._unions for f in fresh] == [e._union_masks() for e in es]
+
+
+def unions_from_masks(u):
+    # L and U from each mask's set bits and its key: bit w goes to w - 2m'
+    # and to w - 2m
+    q = u.ctx.q
+    left = right = 0
+    for (m, mp), mask in zip(u.terms, u._masks):
+        for w in range(q):
+            if mask >> w & 1:
+                left |= 1 << (w - 2 * mp) % q
+                right |= 1 << (w - 2 * m) % q
+    return left, right
+
+
+@PROPERTY
+@given(st.one_of(elems_in_small_ctx(1).map(lambda t: t[0]), sparse_elem(AlgebraCtx(2, 1, 7))))
+def test_cached_unions_match_masks(u):
+    # dense elements include rows that are dropped as zero; (2,1,7) has
+    # q = 128, so its unions span several machine words
+    assert u._unions is None
+    unions = u._union_masks()
+    assert unions == unions_from_masks(u)
+    # made once, on first use, and kept
+    assert u._unions is unions and u._union_masks() is unions
 
 
 @PROPERTY

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sl2hyper.idempotents as idempotents
 from sl2hyper.algebra import AlgebraCtx, embed, gen_x, gen_y, one, pbw_elem, zero
@@ -396,18 +398,24 @@ def test_terms_mapping_is_read_only():
 
 
 def test_attributes_cannot_be_rebound():
-    # rebinding ctx, terms or the support masks of a cached idempotent would
-    # change the cache entry, or leave the masks describing other terms
+    # rebinding ctx, terms, the support masks or their unions of a cached
+    # idempotent would change the cache entry, or leave the masks and unions
+    # describing other terms; the unions are made on the first product
     ctx = AlgebraCtx(3, 1, 2)
     label = enumerate_labels(ctx)[0]
     e = tuple_idempotent(label, ctx)
     before = {k: v.tolist() for k, v in e.terms.items()}
     masks = e._masks
+    assert e * e == e
+    unions = e._unions
+    assert unions is not None
     for name, value in [
         ("ctx", AlgebraCtx(3, 2, 2)),
         ("terms", dict(gen_x(1, ctx).terms)),
         ("_masks", ()),
         ("_block", gen_x(1, ctx)._block),
+        ("_unions", (0, 0)),
+        ("_unions", None),
     ]:
         with pytest.raises(AttributeError):
             setattr(e, name, value)
@@ -417,6 +425,7 @@ def test_attributes_cannot_be_rebound():
         e.extra = 1
     again = tuple_idempotent(label, ctx)
     assert again.ctx == ctx and again._masks == masks
+    assert again._unions == unions
     assert {k: v.tolist() for k, v in again.terms.items()} == before
 
 
@@ -474,3 +483,49 @@ def test_label_errors():
         parse_label("1:0", AlgebraCtx(3, 1, 2))
     with pytest.raises(LabelError, match="out of range"):
         parse_label("1:0;3", AlgebraCtx(3, 1, 2))
+    # each field is an ASCII decimal numeral without sign, space, underscore
+    # or leading zero; int() alone accepted all of these
+    ctx = AlgebraCtx(3, 2, 3)
+    for text, match in [
+        ("0:0,0:0;-0", "aprime"),
+        ("0:0,0:0; 1", "aprime"),
+        ("0:0,0:0;0_1", "aprime"),
+        ("0:0,0:0;+1", "aprime"),
+        ("0:0,0:0;01", "aprime"),
+        ("0:0,0:0;1\n", "aprime"),
+        ("\u0661:0,0:0;0", "malformed pair"),
+        ("0:0 ,0:0;0", "malformed pair"),
+        ("0:00,0:0;0", "malformed pair"),
+        ("0:0,0: 0;0", "malformed pair"),
+        ("0:0,0:-0;0", "malformed pair"),
+        ("0:0,0:;0", "malformed pair"),
+        # past int()'s digit limit (Pythons without one reject it as invalid)
+        ("9" * 5000 + ":0,0:0;0", "pair '9"),
+    ]:
+        with pytest.raises(LabelError, match=match):
+            parse_label(text, ctx)
+
+
+def label_text(ctx):
+    # a, t and aprime drawn mostly from small numerals, and sometimes from
+    # text with signs, spaces, underscores, leading zeros and a non-ASCII digit
+    field = st.one_of(st.sampled_from("0123"), st.text("0123 _-+\u0661", max_size=3))
+    pair = st.tuples(field, field).map(":".join)
+    text = st.lists(pair, min_size=ctx.r, max_size=ctx.r).map(",".join)
+    if ctx.rprime > ctx.r:
+        text = st.tuples(text, field).map(";".join)
+    return text
+
+
+LABEL_CTXS = [AlgebraCtx(3, 1, 1), AlgebraCtx(3, 2, 3), AlgebraCtx(2, 1, 2), AlgebraCtx(5, 1, 1)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(LABEL_CTXS).flatmap(lambda ctx: st.tuples(st.just(ctx), label_text(ctx))))
+def test_parsed_labels_print_back_as_written(case):
+    ctx, text = case
+    try:
+        label = parse_label(text, ctx)
+    except LabelError:
+        return
+    assert format_label(label) == text
