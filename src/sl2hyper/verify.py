@@ -7,6 +7,45 @@ cross-checks, commutation families, the lifting operator's laws, Frobenius
 round trips, associativity and Weyl-oracle sampling, and the projective
 cover census where the ambient dimension keeps it cheap.
 
+The basic suite decides idempotency and orthogonality in the weight-space
+algebras B_nu (the *weight-space lemma*).  For a weight nu mod q = p**rprime,
+B_nu is the span of beta_m = Y^(m) delta_(nu+2m) X^(m) for m < p**r, where
+delta_w is the torus factor that is 1 at weight w and 0 elsewhere.  Suppose
+e has degree 0 and each torus factor f_m is nonzero only at (nu + 2m) mod q.
+Then e = sum_m f_m(nu + 2m) beta_m, and mu_nu e = e = e mu_nu, since
+degree-0 terms commute with the torus.  Hence:
+
+* two such elements of different weights multiply to
+  e_i mu_nu mu_nu' e_j = 0, and no product is needed;
+* writing Y^(a)X^(a) Y^(b)X^(b) = sum_c Y^(c) g_c^{ab} X^(c), one has
+  beta_a beta_b = sum_c g_c^{ab}(nu + 2c) beta_c.  This holds for every p,
+  p = 2 with r = rprime included, because products of degree-0 elements
+  have degree 0.
+
+So the p**(2r) products Y^(a)X^(a) Y^(b)X^(b), formed by the one product
+kernel, give the structure constants of every B_nu at once, and each
+idempotent is read into p**r scalars.  `orthogonality` decides its N(N-1)
+ordered products by two routes: the lemma for each pair of different
+weights, and one contraction of coordinates with the structure constants
+for each pair of the same weight (which also gives the squares that
+`idempotency` compares).
+
+The same constants certify primitivity by Berlekamp's count ("Factoring
+polynomials over finite fields", Bell Syst. Tech. J., 1967).  The suite
+checks that Y^(a)X^(a) and Y^(b)X^(b) commute, so B_nu is commutative and
+Frob: x |-> x^p is F_p-linear on it.  dim ker(Frob - 1) is the number of
+local factors of B_nu, and rank Frob^r is dim B_nu / rad, because a
+nilpotent x in the p**r-dimensional B_nu has x^(p**r) = 0.  The weight-nu
+idempotents are nonzero, orthogonal and sum to mu_nu, the unit of B_nu.
+When both counts equal their number N_nu, each one is the unit of one
+local factor whose residue field is F_p, so it is primitive over the
+algebraic closure of F_p.  For p odd, or p = 2 with r < rprime,
+mu_nu A mu_nu = B_nu: a term Y^(m) f X^(m') survives between two copies of
+mu_nu only when 2(m' - m) = 0 mod q, and |m' - m| < p**r then forces
+m' = m.  So e A e = e B_nu and the idempotents are primitive in A.  For
+p = 2 with r = rprime, mu_nu A mu_nu has parts of degree +-q/2, and the
+label count from theory stays the certificate.
+
 Each check returns a CheckResult; nothing here prints or exits.
 """
 
@@ -75,7 +114,14 @@ from .pims import (
 
 DEFAULT_SEED = 20240601
 
-__all__ = ["CheckResult", "run_suite", "DEFAULT_SEED"]
+__all__ = [
+    "CheckResult",
+    "run_suite",
+    "certify_decomposition",
+    "weight_coords",
+    "weight_space_products",
+    "DEFAULT_SEED",
+]
 
 
 @dataclass
@@ -136,9 +182,117 @@ def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
     return _result("weight-projector-binomial-form", bad)
 
 
-def _decomposition_checks(ctx: AlgebraCtx) -> list[CheckResult]:
+def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
+    """(nu, x) with e = sum_m x[m] beta_m in B_nu (weight-space lemma).
+
+    Raises ValueError unless e is nonzero, has degree 0, and each torus
+    factor f_m has exactly one nonzero entry, at (nu + 2m) mod q.
+    """
+    ctx = e.ctx
+    if e.is_zero():
+        raise ValueError("is zero")
+    (m0, _), f0 = next(iter(e.terms.items()))
+    nu = (int(np.flatnonzero(f0)[0]) - 2 * m0) % ctx.q
+    x = np.zeros(ctx.xy_range, dtype=np.int64)
+    for (m, mp_), f in e.terms.items():
+        if m != mp_:
+            raise ValueError(f"has a term of degree {mp_ - m}")
+        w = (nu + 2 * m) % ctx.q
+        if np.flatnonzero(f).tolist() != [w]:
+            raise ValueError(f"torus factor of Y^({m}) X^({m}) is not supported at weight {w} alone")
+        x[m] = f[w]
+    return nu, x
+
+
+def _yx_slices(ctx: AlgebraCtx):
+    """Yield (a, g) with g[b, c] the torus factor g_c^{ab} of Y^(c) X^(c) in
+    Y^(a)X^(a) Y^(b)X^(b): one (p**r, p**r, q) slice at a time, never the
+    whole tensor.
+
+    Raises ValueError if two of the products fail to commute or one has a
+    term of nonzero degree; the weight-space lemma needs both.
+    """
+    n = ctx.xy_range
+    yx = [pbw_elem(a, 0, a, ctx) for a in range(n)]
+    for a in range(n):
+        g = np.zeros((n, n, ctx.q), dtype=np.int64)
+        for b in range(n):
+            prod = yx[a] * yx[b]
+            if b != a and yx[b] * yx[a] != prod:
+                raise ValueError(f"Y^({a})X^({a}) and Y^({b})X^({b}) do not commute")
+            for (c, cp), f in prod.terms.items():
+                if c != cp:
+                    raise ValueError(f"Y^({a})X^({a}) Y^({b})X^({b}) has a term of degree {cp - c}")
+                g[b, c] = f
+        yield a, g
+
+
+def weight_space_products(
+    ctx: AlgebraCtx, coords: dict[int, np.ndarray]
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """All products within each weight space, and its Frobenius matrix.
+
+    coords maps a weight nu to an (N, p**r) array whose rows are elements
+    of B_nu in the basis beta_m.  Returns prods with prods[nu][i, j] the
+    coordinates of x_i x_j, and frob with row a of frob[nu] those of
+    beta_a^p.  Raises ValueError as `_yx_slices` does.
+    """
+    p, n = ctx.p, ctx.xy_range
+    nus = sorted(coords)
+    prods = {nu: np.zeros((len(coords[nu]), len(coords[nu]), n), dtype=np.int64) for nu in nus}
+    frob = np.zeros((len(nus), n, n), dtype=np.int64)
+    cols = np.arange(n)
+    # the weight (nu + 2c) mod q at which beta_a beta_b reads g_c^{ab}
+    at = (np.array(nus, dtype=np.int64)[:, None] + 2 * cols) % ctx.q
+    for a, g in _yx_slices(ctx):
+        # t[k, b, c] = g_c^{ab}(nu_k + 2c): left multiplication by beta_a in B_nu_k.
+        # Exact in int64: every product and sum below is of entries below p
+        # and reduced mod p at once, so a sum of p**r products stays below
+        # p**r * p**2 <= 2**36 (p**r <= q <= 4096).
+        t = g[:, cols, at].transpose(1, 0, 2)
+        for k, nu in enumerate(nus):
+            x = coords[nu]
+            # x_i x_j = sum_a x_i[a] (beta_a x_j)
+            left = x @ t[k] % p
+            prods[nu] += x[:, a, None, None] * left
+            prods[nu] %= p
+        # beta_a^p by p - 1 left multiplications by beta_a, in every B_nu at once
+        power = np.zeros((len(nus), 1, n), dtype=np.int64)
+        power[:, 0, a] = 1
+        for _ in range(p - 1):
+            power = power @ t % p
+        frob[:, a] = power[:, 0]
+    return prods, dict(zip(nus, frob))
+
+
+def _rank(mat: np.ndarray, p: int) -> int:
+    basis = IdealBasis()
+    for row in mat.tolist():
+        basis.add_coords({c: v for c, v in enumerate(row) if v}, p)
+    return basis.dim
+
+
+def _berlekamp_counts(frob: np.ndarray, ctx: AlgebraCtx) -> tuple[int, int]:
+    """(dim ker(Frob - 1), rank Frob^r) on B_nu, from its Frobenius matrix."""
+    p, n = ctx.p, ctx.xy_range
+    power = frob
+    for _ in range(ctx.r - 1):
+        power = power @ frob % p  # entries below p: sums below p**r * p**2
+    return n - _rank((frob - np.eye(n, dtype=np.int64)) % p, p), _rank(power, p)
+
+
+def certify_decomposition(
+    ctx: AlgebraCtx, labels: list[TupleLabel], elements: list[HyperElem]
+) -> list[CheckResult]:
+    """The basic suite's certificate of a labeled family of idempotents.
+
+    Idempotency and orthogonality are decided in the weight-space algebras
+    B_nu (module docstring).  An element outside the weight-space lemma's
+    hypotheses fails both, named by its label.  For p odd or r < rprime the
+    Berlekamp counts of every B_nu join the label count.
+    """
     p = ctx.p
-    labels = enumerate_labels(ctx)
+    names = [format_label(lb) for lb in labels]
     expected = (p * (p + 1) // 2) ** ctx.r * p ** (ctx.rprime - ctx.r)
     # primitivity certificate: one idempotent per simple-module dimension unit
     simple_dim_sum = 0
@@ -148,31 +302,68 @@ def _decomposition_checks(ctx: AlgebraCtx) -> list[CheckResult]:
             d *= digit + 1
         simple_dim_sum += d
     simple_dim_sum *= p ** (ctx.rprime - ctx.r)
-    bad = []
+    bad_count = []
     if len(labels) != expected:
-        bad.append(f"{len(labels)} labels, expected {expected}")
+        bad_count.append(f"{len(labels)} labels, expected {expected}")
     if len(labels) != simple_dim_sum:
-        bad.append(f"{len(labels)} labels, simple-dimension sum {simple_dim_sum}")
-    out = [_result("label-count", bad, f"{len(labels)} labels = sum of simple dimensions")]
-    es = [tuple_idempotent(lb, ctx) for lb in labels]
+        bad_count.append(f"{len(labels)} labels, simple-dimension sum {simple_dim_sum}")
 
-    bad = [f"{format_label(lb)} not idempotent" for lb, e in zip(labels, es) if e * e != e]
-    out.append(_result("idempotency", bad, f"{len(es)} elements"))
+    # Weight-space lemma (module docstring): an element read into B_nu
+    # satisfies e = mu_nu e mu_nu, so a pair of different weights has product
+    # e_i mu_nu mu_nu' e_j = 0 and is decided without forming it; only the
+    # products within each weight are computed, in coordinates.
+    unread = []
+    by_weight: dict[int, list[int]] = {}
+    rows: dict[int, list[np.ndarray]] = {}
+    for i, (name, e) in enumerate(zip(names, elements)):
+        try:
+            nu, x = weight_coords(e)
+        except ValueError as exc:
+            unread.append(f"{name} {exc}")
+            continue
+        by_weight.setdefault(nu, []).append(i)
+        rows.setdefault(nu, []).append(x)
+    coords = {nu: np.array(xs) for nu, xs in rows.items()}
+    # Berlekamp: see the module docstring for why p = 2 with r = rprime is left out
+    berlekamp = p % 2 or ctx.r < ctx.rprime
+    bad_idem, bad_orth = list(unread), list(unread)
+    try:
+        prods, frob = weight_space_products(ctx, coords)
+    except ValueError as exc:
+        bad_idem.append(str(exc))
+        bad_orth.append(str(exc))
+        if berlekamp:
+            bad_count.append(str(exc))
+        prods, frob = {}, {}
+    not_idem, not_orth = [], []
+    for nu, prod in prods.items():
+        idx = by_weight[nu]
+        diag = np.arange(len(idx))
+        not_idem += [idx[k] for k in np.flatnonzero((prod[diag, diag] != coords[nu]).any(axis=1))]
+        nonzero = prod.any(axis=2)
+        nonzero[diag, diag] = False
+        not_orth += [(idx[k], idx[l]) for k, l in np.argwhere(nonzero)]
+    bad_idem += [f"{names[i]} not idempotent" for i in sorted(not_idem)]
+    bad_orth += [f"{names[i]} * {names[j]} != 0" for i, j in sorted(not_orth)]
+    if berlekamp:
+        for nu, f in frob.items():
+            ker, rank = _berlekamp_counts(f, ctx)
+            count = len(by_weight[nu])
+            if ker != count or rank != count:
+                bad_count.append(f"weight {nu}: {count} idempotents, ker {ker}, rank {rank}")
 
-    bad = []
-    for i, ei in enumerate(es):
-        for j, ej in enumerate(es):
-            if i != j and not (ei * ej).is_zero():
-                bad.append(f"{format_label(labels[i])} * {format_label(labels[j])} != 0")
-    out.append(_result("orthogonality", bad, f"{len(es) * (len(es) - 1)} products"))
-
+    out = [
+        _result("label-count", bad_count, f"{len(labels)} labels = sum of simple dimensions"),
+        _result("idempotency", bad_idem, f"{len(elements)} elements"),
+        _result("orthogonality", bad_orth, f"{len(elements) * (len(elements) - 1)} products"),
+    ]
     total = zero(ctx)
-    for e in es:
+    for e in elements:
         total = total + e
     out.append(_result("sum-to-one", [] if total == one(ctx) else ["sum differs from 1"]))
 
     bad = []
-    for lb, e in zip(labels, es):
+    for lb, e in zip(labels, elements):
         try:
             nu = weight_of_idempotent(e)
         except ValueError as exc:
@@ -184,11 +375,16 @@ def _decomposition_checks(ctx: AlgebraCtx) -> list[CheckResult]:
 
     bad = [
         f"{format_label(lb)} has degrees {sorted(degree_decompose(e))}"
-        for lb, e in zip(labels, es)
+        for lb, e in zip(labels, elements)
         if set(degree_decompose(e)) != {0}
     ]
     out.append(_result("degree-zero", bad))
     return out
+
+
+def _decomposition_checks(ctx: AlgebraCtx) -> list[CheckResult]:
+    labels = enumerate_labels(ctx)
+    return certify_decomposition(ctx, labels, [tuple_idempotent(lb, ctx) for lb in labels])
 
 
 def _check_selector_partition(p: int) -> CheckResult:
@@ -454,6 +650,14 @@ def _check_top_x(ctx: AlgebraCtx) -> CheckResult:
 
 
 def _check_pim_census(ctx: AlgebraCtx) -> CheckResult:
+    """Left-ideal dimensions of every idempotent, which must sum to dim A.
+
+    Census lemma: this certifies idempotency and orthogonality by a second
+    route, independent of the weight-space lemma.  Sum-to-one gives
+    sum_i e_i = 1, so A = sum_i A e_i.  The dimensions add up to dim A, so
+    that sum is direct.  Writing e_j = sum_i e_j e_i, with e_j e_i in A e_i,
+    then forces e_j e_i = delta_ij e_j.
+    """
     ambient = ctx.xy_range**2 * ctx.q
     if ambient > 20000:
         return CheckResult("pim-census", True, f"skipped for ambient dim {ambient} (size)")

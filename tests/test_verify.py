@@ -1,0 +1,212 @@
+"""The basic suite's certificate in the weight-space algebras B_nu.
+
+The coordinate route (structure constants, contraction, Frobenius matrix)
+is checked against `HyperElem` products, and the certificate is run on
+broken families, which must fail with the label that broke them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sl2hyper import verify
+from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_x, one
+from sl2hyper.idempotents import enumerate_labels, format_label, tuple_idempotent
+from sl2hyper.verify import certify_decomposition, weight_coords, weight_space_products
+
+ORACLE_CTXS = [(2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2)]
+
+
+def elem_from_coords(nu, x, ctx):
+    # sum_m x[m] beta_m with beta_m = Y^(m) delta_(nu+2m) X^(m)
+    terms = {}
+    for m, val in enumerate(x):
+        f = np.zeros(ctx.q, dtype=np.int64)
+        f[(nu + 2 * m) % ctx.q] = val
+        terms[(m, m)] = f
+    return HyperElem(ctx, terms)
+
+
+def coords_of(u, nu, ctx):
+    # coordinates of a product in B_nu, reading zero as the zero vector
+    if u.is_zero():
+        return np.zeros(ctx.xy_range, dtype=np.int64)
+    got_nu, x = weight_coords(u)
+    assert got_nu == nu
+    return x
+
+
+def family(ctx):
+    labels = enumerate_labels(ctx)
+    return labels, [tuple_idempotent(lb, ctx) for lb in labels]
+
+
+def results(ctx, labels, elements):
+    return {c.name: c for c in certify_decomposition(ctx, labels, elements)}
+
+
+@pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS)
+def test_coordinate_products_match_hyperelem_products(p, r, rprime):
+    # random elements of B_nu, unlike the idempotents, whose products are
+    # mostly 0 or e_i and so miss index errors in the contraction
+    ctx = AlgebraCtx(p, r, rprime)
+    vec = st.lists(st.integers(0, p - 1), min_size=ctx.xy_range, max_size=ctx.xy_range)
+
+    @settings(derandomize=True, max_examples=20, deadline=None, database=None)
+    @given(st.integers(0, ctx.q - 1), st.lists(vec, min_size=2, max_size=3))
+    def check(nu, xs):
+        prods, _ = weight_space_products(ctx, {nu: np.array(xs, dtype=np.int64)})
+        elems = [elem_from_coords(nu, x, ctx) for x in xs]
+        for i, u in enumerate(elems):
+            for j, v in enumerate(elems):
+                assert np.array_equal(prods[nu][i, j], coords_of(u * v, nu, ctx))
+
+    check()
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
+def test_frobenius_rows_are_pth_powers(p, r, rprime):
+    ctx = AlgebraCtx(p, r, rprime)
+    nus = list(range(ctx.q))
+    coords = {nu: np.eye(ctx.xy_range, dtype=np.int64) for nu in nus}
+    _, frob = weight_space_products(ctx, coords)
+    for nu in nus:
+        for a in range(ctx.xy_range):
+            beta = elem_from_coords(nu, np.eye(ctx.xy_range, dtype=np.int64)[a], ctx)
+            power = beta
+            for _ in range(p - 1):
+                power = power * beta
+            assert np.array_equal(frob[nu][a], coords_of(power, nu, ctx)), (nu, a)
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2)])
+def test_same_weight_idempotent_products_match_hyperelem_products(p, r, rprime):
+    ctx = AlgebraCtx(p, r, rprime)
+    _, es = family(ctx)
+    groups: dict[int, list] = {}
+    for e in es:
+        nu, x = weight_coords(e)
+        groups.setdefault(nu, []).append((e, x))
+    coords = {nu: np.array([x for _, x in g]) for nu, g in groups.items()}
+    prods, _ = weight_space_products(ctx, coords)
+    for nu, g in groups.items():
+        for i, (ei, _) in enumerate(g):
+            for j, (ej, _) in enumerate(g):
+                assert np.array_equal(prods[nu][i, j], coords_of(ei * ej, nu, ctx))
+
+
+def test_weight_coords_reads_idempotents():
+    ctx = AlgebraCtx(3, 2, 3)
+    for lb, e in zip(*family(ctx)):
+        nu, x = weight_coords(e)
+        assert elem_from_coords(nu, x, ctx) == e, format_label(lb)
+
+
+def test_true_families_pass():
+    for c in [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 3), (5, 1, 1)]:
+        ctx = AlgebraCtx(*c)
+        res = results(ctx, *family(ctx))
+        assert all(r.passed for r in res.values()), (c, res)
+
+
+def test_scaled_idempotent_fails_idempotency_by_label():
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    es[0] = 2 * es[0]
+    res = results(ctx, labels, es)
+    name = format_label(labels[0])
+    assert not res["idempotency"].passed
+    assert res["idempotency"].detail == f"{name} not idempotent"
+    assert res["orthogonality"].passed
+
+
+def test_merged_idempotents_fail_the_berlekamp_count():
+    # e_i + e_j of one weight is an idempotent orthogonal to the rest, but
+    # not primitive: B_nu has one more local factor than the family has members
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    nus = [weight_coords(e)[0] for e in es]
+    i = 0
+    j = next(k for k in range(1, len(es)) if nus[k] == nus[i])
+    count = nus.count(nus[i])
+    es[i] = es[i] + es.pop(j)
+    labels.pop(j)
+    res = results(ctx, labels, es)
+    assert res["idempotency"].passed and res["orthogonality"].passed
+    assert res["sum-to-one"].passed
+    assert not res["label-count"].passed
+    want = f"weight {nus[i]}: {count - 1} idempotents, ker {count}, rank {count}"
+    assert want in res["label-count"].detail.split("; ")
+
+
+def test_foreign_term_fails_both_checks_by_label():
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    k = 5
+    es[k] = es[k] + gen_x(1, ctx)
+    res = results(ctx, labels, es)
+    name = format_label(labels[k])
+    for check in ("idempotency", "orthogonality"):
+        assert not res[check].passed
+        assert res[check].detail.startswith(f"{name} has a term of degree 1")
+
+
+@pytest.mark.parametrize(
+    "p, r, rprime, counted",
+    [
+        (2, 2, 2, False),
+        (2, 1, 1, False),
+        (2, 2, 3, True),
+        (2, 1, 2, True),
+        (3, 2, 2, True),
+        (3, 1, 2, True),
+    ],
+)
+def test_berlekamp_counts_certify_exactly_when_p_odd_or_r_below_rprime(p, r, rprime, counted):
+    # merge two same-weight idempotents: the Berlekamp count sees it wherever
+    # it is part of the certificate (the theory count sees the shorter list)
+    ctx = AlgebraCtx(p, r, rprime)
+    labels, es = family(ctx)
+    nus = [weight_coords(e)[0] for e in es]
+    i = next(k for k in range(len(es)) if nus.count(nus[k]) > 1)
+    j = next(k for k in range(i + 1, len(es)) if nus[k] == nus[i])
+    es[i] = es[i] + es.pop(j)
+    labels.pop(j)
+    detail = results(ctx, labels, es)["label-count"].detail
+    assert ("ker" in detail) is counted
+
+
+def skewed_pbw(monkeypatch, extra):
+    # Y^(a)X^(a) factors whose product Y^(1)X^(1) * Y^(b)X^(b) gains `extra`
+    real = verify.pbw_elem
+
+    class Skewed(HyperElem):
+        __slots__ = ()
+
+        def __mul__(self, other):
+            out = HyperElem.__mul__(self, other)
+            if (1, 1) in self.terms and extra[0] in other.terms:
+                out = out + extra[1]
+            return out
+
+    def pbw_elem(m, n, mp_, ctx):
+        return Skewed(ctx, real(m, n, mp_, ctx).terms)
+
+    monkeypatch.setattr(verify, "pbw_elem", pbw_elem)
+
+
+def test_non_commuting_structure_constants_fail(monkeypatch):
+    ctx = AlgebraCtx(3, 1, 2)
+    skewed_pbw(monkeypatch, ((2, 2), one(ctx)))
+    res = results(ctx, *family(ctx))
+    for check in ("label-count", "idempotency", "orthogonality"):
+        assert res[check].detail == "Y^(1)X^(1) and Y^(2)X^(2) do not commute"
+
+
+def test_structure_constants_of_nonzero_degree_fail(monkeypatch):
+    ctx = AlgebraCtx(3, 1, 2)
+    skewed_pbw(monkeypatch, ((1, 1), gen_x(1, ctx)))
+    res = results(ctx, *family(ctx))
+    for check in ("idempotency", "orthogonality"):
+        assert res[check].detail == "Y^(1)X^(1) Y^(1)X^(1) has a term of degree 1"
