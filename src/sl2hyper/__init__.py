@@ -18,6 +18,7 @@ from .algebra import (
     one,
     pbw_elem,
     shift_weightfn,
+    weight_coords,
     weightfn_to_coeffs,
     x_power,
     y_power,

@@ -18,6 +18,9 @@ recovered through the unitriangular Pascal matrix C(w, n), used only by
 `format_element`, the F_p row coordinates of `pims.IdealBasis` (census,
 `left_ideal_span`, verify's split-product rank) and verify's round trips.
 
+`weight_coords` is the package's one reader of an element of a weight-space
+algebra B_nu (lemma in `verify`) into its weight nu and p**r coordinates.
+
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p and support-masked in one pass each.  The block sits in a read-only
 bytes buffer that cannot be made writeable again, so a shared (cached)
@@ -85,6 +88,7 @@ __all__ = [
     "y_power",
     "shift_weightfn",
     "degree_decompose",
+    "weight_coords",
     "weightfn_to_coeffs",
     "coeffs_to_weightfn",
     "fr",
@@ -419,6 +423,28 @@ def degree_decompose(u: HyperElem) -> dict[int, HyperElem]:
     for (m, mp_), f in u.terms.items():
         parts.setdefault(mp_ - m, {})[(m, mp_)] = f
     return {d: HyperElem(u.ctx, t) for d, t in sorted(parts.items())}
+
+
+def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
+    """(nu, x) with e = sum_m x[m] beta_m in B_nu (weight-space lemma).
+
+    Raises ValueError unless e is nonzero, has degree 0, and each torus
+    factor f_m has exactly one nonzero entry, at (nu + 2m) mod q.
+    """
+    ctx = e.ctx
+    if e.is_zero():
+        raise ValueError("is zero")
+    (m0, _), f0 = next(iter(e.terms.items()))
+    nu = (int(np.flatnonzero(f0)[0]) - 2 * m0) % ctx.q
+    x = np.zeros(ctx.xy_range, dtype=np.int64)
+    for (m, mp_), f in e.terms.items():
+        if m != mp_:
+            raise ValueError(f"has a term of degree {mp_ - m}")
+        w = (nu + 2 * m) % ctx.q
+        if np.flatnonzero(f).tolist() != [w]:
+            raise ValueError(f"torus factor of Y^({m}) X^({m}) is not supported at weight {w} alone")
+        x[m] = f[w]
+    return nu, x
 
 
 def weightfn_to_coeffs(f: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:

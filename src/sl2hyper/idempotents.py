@@ -33,6 +33,7 @@ from .algebra import (
     gen_x,
     gen_y,
     one,
+    weight_coords,
     x_power,
     y_power,
     zero,
@@ -257,24 +258,22 @@ def _expansion(a: int, order: str, coeffs) -> ProductExpansion:
 
 
 def yx_expansion(e: HyperElem, a: int) -> ProductExpansion:
-    """Read the Y^m X^m coefficients off the normal form of e.
+    """Read the Y^m X^m coefficients off the B_a coordinates of e.
 
-    The (m, m) term of mu_a Y^m X^m is (m!)^2 Y^(m) mu_{a+2m} X^(m), so each
-    stored vector must be supported on the single class a + 2m.
+    The (m, m) term of mu_a Y^m X^m is (m!)^2 Y^(m) mu_{a+2m} X^(m), so its
+    coefficient is (m!)^-2 times the coordinate of e at m in B_a.
     """
     ctx = e.ctx
     if ctx.r != 1 or ctx.rprime != 1:
         raise ValueError("expansion extraction expects the depth-1 context")
     p = ctx.p
-    coeffs = [0] * p
-    for (m, mp_), f in e.terms.items():
-        if m != mp_:
-            raise ValueError(f"term {(m, mp_)} is off the degree-0 diagonal")
-        lam = (a + 2 * m) % p
-        if np.nonzero(f)[0].tolist() != [lam]:
-            raise ValueError(f"term ({m}, {m}) is not supported on weight class {lam}")
-        fact = factorial_mod_p(m, p)
-        coeffs[m] = int(f[lam]) * inv_mod_p(fact * fact, p) % p
+    try:
+        nu, x = weight_coords(e)
+    except ValueError as exc:
+        raise ValueError(f"element {exc}") from None
+    if nu != a % p:
+        raise ValueError(f"element has weight {nu}, not {a % p}")
+    coeffs = [int(c) * inv_mod_p(factorial_mod_p(m, p) ** 2, p) % p for m, c in enumerate(x)]
     return _expansion(a % p, "yx", coeffs)
 
 

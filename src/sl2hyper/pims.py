@@ -15,8 +15,10 @@ Products keep the degree m' - m, so for homogeneous e
     A e = (+)_d span{Y^(a) X^(a+d) e},   dim A e = sum_d rank_p(block d),
 
 which needs only the p**r products X^(b) e; Y^(a) acts on their
-coordinates.  left_ideal_span, the closure under the algebra generators,
-is kept as the independent oracle.
+coordinates.  The same products give the top X exponent, the largest b
+with X^(b) e nonzero, so pim_rows reads weight, dimension and top X in one
+pass.  left_ideal_span (the closure under the algebra generators),
+top_x_exponent and weight_of_idempotent stay public as its oracles.
 
 IdealBasis.add_coords is the package's one row reduction over F_p: the
 degree blocks above, left-ideal spans and the split-product rank in verify
@@ -176,7 +178,12 @@ def left_ideal_dim(e: HyperElem) -> int:
     span{Y^(a) X^(a+d) e}, so its dimension is the sum of the block ranks.
     Raises ValueError outside the lemma's hypotheses.
     """
-    weight_of_idempotent(e)  # raises unless e is a nonzero left weight vector
+    return _ideal_pass(e)[1]
+
+
+def _ideal_pass(e: HyperElem) -> tuple[int, int, int]:
+    """(weight, dim A e, top X exponent) of e from one pass over the X^(b) e."""
+    nu = weight_of_idempotent(e)  # raises unless e is a nonzero left weight vector
     if len({mp_ - m for m, mp_ in e.terms}) != 1:
         raise ValueError("element is not homogeneous")
     ctx = e.ctx
@@ -184,10 +191,13 @@ def left_ideal_dim(e: HyperElem) -> int:
     stride = nmax * ctx.q  # coordinate step from Y^(m) to Y^(m+1)
     pas = ctx.pascal[:nmax, :nmax].tolist()
     blocks: dict[int, IdealBasis] = {}
+    top = 0
     for b in range(nmax):
         by_m: dict[int, list[tuple[int, int]]] = {}
         for idx, val in _elem_coords(gen_x(b, ctx) * e).items():
             by_m.setdefault(idx // stride, []).append((idx, val))
+        if by_m:
+            top = b  # the largest b with X^(b) e nonzero, as top_x_exponent finds
         for a in range(nmax):
             # Y^(a) Y^(m) C(H,n) X^(m') = C(a+m, a) Y^(a+m) C(H,n) X^(m'); the
             # entry drops when a + m >= p**r, where Kummer gives C(a+m, a) = 0
@@ -201,7 +211,7 @@ def left_ideal_dim(e: HyperElem) -> int:
             if row:
                 # the block of Y^(a) X^(b) e, by degree relative to e
                 blocks.setdefault(b - a, IdealBasis()).add_coords(row, p)
-    return sum(basis.dim for basis in blocks.values())
+    return nu, sum(basis.dim for basis in blocks.values()), top
 
 
 @dataclass(frozen=True)
@@ -287,14 +297,8 @@ def pim_rows(ctx: AlgebraCtx) -> list[dict]:
     for label in enumerate_labels(ctx):
         e = tuple_idempotent(label, ctx)
         pl = pim_label_closed_form(label, ctx)
-        nu = weight_of_idempotent(e)
-        t = top_x_exponent(e)
-        dim = left_ideal_dim(e)
-        ok = (
-            dim == pl.dim
-            and nu == predicted_weight(label, ctx)
-            and t == predicted_top_x(label, ctx.p)
-        )
+        nu, dim, t = _ideal_pass(e)
+        ok = (dim, nu, t) == (pl.dim, predicted_weight(label, ctx), predicted_top_x(label, ctx.p))
         out.append(
             {
                 "label": format_label(label),

@@ -61,7 +61,6 @@ from .algebra import (
     AlgebraCtx,
     HyperElem,
     coeffs_to_weightfn,
-    degree_decompose,
     element_from_json,
     element_to_json,
     embed,
@@ -72,6 +71,7 @@ from .algebra import (
     gen_y,
     one,
     pbw_elem,
+    weight_coords,
     weightfn_to_coeffs,
     x_power,
     y_power,
@@ -108,7 +108,6 @@ from .pims import (
     predicted_top_x,
     predicted_weight,
     top_x_exponent,
-    weight_of_idempotent,
     weyl_action,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "CheckResult",
     "run_suite",
     "certify_decomposition",
-    "weight_coords",
     "weight_space_products",
     "DEFAULT_SEED",
 ]
@@ -138,13 +136,13 @@ def _result(name: str, failures: list[str], detail_ok: str = "") -> CheckResult:
 
 
 def _rand_elem(rng: random.Random, ctx: AlgebraCtx, nterms: int = 3) -> HyperElem:
-    out = zero(ctx)
+    terms: dict[tuple[int, int], np.ndarray] = {}
     for _ in range(nterms):
         m = rng.randrange(ctx.xy_range)
         mp_ = rng.randrange(ctx.xy_range)
         n = rng.randrange(ctx.q)
-        out = out + rng.randrange(1, ctx.p) * pbw_elem(m, n, mp_, ctx)
-    return out
+        terms[m, mp_] = terms.get((m, mp_), 0) + rng.randrange(1, ctx.p) * ctx.pascal[:, n]
+    return HyperElem(ctx, terms)
 
 
 def _check_mu_projectors(ctx: AlgebraCtx) -> CheckResult:
@@ -180,28 +178,6 @@ def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
             if not np.array_equal(mu, formula):
                 bad.append(f"projector ({a}, depth {s}) != binomial formula")
     return _result("weight-projector-binomial-form", bad)
-
-
-def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
-    """(nu, x) with e = sum_m x[m] beta_m in B_nu (weight-space lemma).
-
-    Raises ValueError unless e is nonzero, has degree 0, and each torus
-    factor f_m has exactly one nonzero entry, at (nu + 2m) mod q.
-    """
-    ctx = e.ctx
-    if e.is_zero():
-        raise ValueError("is zero")
-    (m0, _), f0 = next(iter(e.terms.items()))
-    nu = (int(np.flatnonzero(f0)[0]) - 2 * m0) % ctx.q
-    x = np.zeros(ctx.xy_range, dtype=np.int64)
-    for (m, mp_), f in e.terms.items():
-        if m != mp_:
-            raise ValueError(f"has a term of degree {mp_ - m}")
-        w = (nu + 2 * m) % ctx.q
-        if np.flatnonzero(f).tolist() != [w]:
-            raise ValueError(f"torus factor of Y^({m}) X^({m}) is not supported at weight {w} alone")
-        x[m] = f[w]
-    return nu, x
 
 
 def _yx_slices(ctx: AlgebraCtx):
@@ -286,11 +262,17 @@ def certify_decomposition(
 ) -> list[CheckResult]:
     """The basic suite's certificate of a labeled family of idempotents.
 
-    Idempotency and orthogonality are decided in the weight-space algebras
-    B_nu (module docstring).  An element outside the weight-space lemma's
-    hypotheses fails both, named by its label.  For p odd or r < rprime the
-    Berlekamp counts of every B_nu join the label count.
+    Each element is read once (`weight_coords`); idempotency and
+    orthogonality are decided in the weight-space algebras B_nu (module
+    docstring).  An element outside the weight-space lemma's hypotheses
+    fails those two and `weights`, named by its label.  For p odd or
+    r < rprime the Berlekamp counts of every B_nu join the label count.
+    Raises ValueError unless there is one element of ctx per label.
     """
+    if len(labels) != len(elements):
+        raise ValueError(f"{len(labels)} labels for {len(elements)} elements")
+    if any(e.ctx != ctx for e in elements):
+        raise ValueError(f"an element lies outside {ctx}")
     p = ctx.p
     names = [format_label(lb) for lb in labels]
     expected = (p * (p + 1) // 2) ** ctx.r * p ** (ctx.rprime - ctx.r)
@@ -312,15 +294,17 @@ def certify_decomposition(
     # satisfies e = mu_nu e mu_nu, so a pair of different weights has product
     # e_i mu_nu mu_nu' e_j = 0 and is decided without forming it; only the
     # products within each weight are computed, in coordinates.
-    unread = []
+    unread, bad_weight = [], []
     by_weight: dict[int, list[int]] = {}
     rows: dict[int, list[np.ndarray]] = {}
-    for i, (name, e) in enumerate(zip(names, elements)):
+    for i, (lb, name, e) in enumerate(zip(labels, names, elements)):
         try:
             nu, x = weight_coords(e)
         except ValueError as exc:
             unread.append(f"{name} {exc}")
             continue
+        if nu != predicted_weight(lb, ctx):
+            bad_weight.append(f"{name}: weight {nu} != {predicted_weight(lb, ctx)}")
         by_weight.setdefault(nu, []).append(i)
         rows.setdefault(nu, []).append(x)
     coords = {nu: np.array(xs) for nu, xs in rows.items()}
@@ -361,23 +345,9 @@ def certify_decomposition(
     for e in elements:
         total = total + e
     out.append(_result("sum-to-one", [] if total == one(ctx) else ["sum differs from 1"]))
-
-    bad = []
-    for lb, e in zip(labels, elements):
-        try:
-            nu = weight_of_idempotent(e)
-        except ValueError as exc:
-            bad.append(f"{format_label(lb)}: {exc}")
-            continue
-        if nu != predicted_weight(lb, ctx):
-            bad.append(f"{format_label(lb)}: weight {nu} != {predicted_weight(lb, ctx)}")
-    out.append(_result("weights", bad))
-
-    bad = [
-        f"{format_label(lb)} has degrees {sorted(degree_decompose(e))}"
-        for lb, e in zip(labels, elements)
-        if set(degree_decompose(e)) != {0}
-    ]
+    out.append(_result("weights", unread + bad_weight))
+    degrees = [sorted({mp_ - m for m, mp_ in e.terms}) for e in elements]
+    bad = [f"{name} has degrees {ds}" for name, ds in zip(names, degrees) if ds != [0]]
     out.append(_result("degree-zero", bad))
     return out
 

@@ -196,6 +196,18 @@ def test_expansion_rejects_bad_shape():
         yx_expansion(one(AlgebraCtx(3, 2, 2)), 0)  # wrong context depth
 
 
+def test_yx_expansion_rejects_zero_and_wrong_weight():
+    ctx = AlgebraCtx(5, 1, 1)
+    with pytest.raises(ValueError, match="element is zero"):
+        yx_expansion(zero(ctx), 0)
+    e = level1_idempotent(make_pair(2, 0, 5), ctx)
+    assert yx_expansion(e, 7).coeffs == yx_expansion(e, 2).coeffs  # a is read mod p
+    with pytest.raises(ValueError, match="element has weight 2, not 3"):
+        yx_expansion(e, 3)
+    with pytest.raises(ValueError, match="element has a term of degree 1"):
+        yx_expansion(e + gen_x(1, ctx), 2)
+
+
 def test_yx_product_identity():
     # mu_a Y^m X^m equals the step product in mu_a Y X
     for p in (2, 3, 5):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sl2hyper import pims
 from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_h_binom, gen_x, gen_y, one, zero
 from sl2hyper.idempotents import (
     TupleLabel,
@@ -168,6 +169,9 @@ def homogeneous_weight_vector(draw):
 def test_left_ideal_dim_matches_span_on_weight_vectors(e):
     assume(not e.is_zero())
     assert left_ideal_dim(e) == left_ideal_span(e).dim
+    # pim_rows' one pass: its weight and top X agree with the separate oracles
+    nu, _, top = pims._ideal_pass(e)
+    assert (nu, top) == (weight_of_idempotent(e), top_x_exponent(e))
 
 
 def test_left_ideal_dim_rejects_inputs_outside_the_lemma():

@@ -5,14 +5,22 @@ is checked against `HyperElem` products, and the certificate is run on
 broken families, which must fail with the label that broke them.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2hyper import verify
-from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_x, one
-from sl2hyper.idempotents import enumerate_labels, format_label, tuple_idempotent
+from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_x, one, pbw_elem, zero
+from sl2hyper.idempotents import (
+    enumerate_labels,
+    format_label,
+    tuple_idempotent,
+    weight_projector,
+)
+from sl2hyper.pims import predicted_weight
 from sl2hyper.verify import certify_decomposition, weight_coords, weight_space_products
 
 ORACLE_CTXS = [(2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2)]
@@ -147,9 +155,69 @@ def test_foreign_term_fails_both_checks_by_label():
     es[k] = es[k] + gen_x(1, ctx)
     res = results(ctx, labels, es)
     name = format_label(labels[k])
-    for check in ("idempotency", "orthogonality"):
+    for check in ("idempotency", "orthogonality", "weights"):
         assert not res[check].passed
         assert res[check].detail.startswith(f"{name} has a term of degree 1")
+
+
+def test_swapped_weights_fail_weights_by_label():
+    # the family as a set is unchanged, so only the weight comparison sees it
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    nus = [predicted_weight(lb, ctx) for lb in labels]
+    i = 0
+    j = next(k for k in range(1, len(es)) if nus[k] != nus[i])
+    es[i], es[j] = es[j], es[i]
+    res = results(ctx, labels, es)
+    assert [c for c, r in res.items() if not r.passed] == ["weights"]
+    failed = res["weights"].detail.split("; ")
+    assert [f.split(": ")[0] for f in failed] == [format_label(labels[i]), format_label(labels[j])]
+
+
+def test_nonzero_degree_weight_vector_fails_weights():
+    # a left weight vector of degree 1 has a weight, but no B_nu coordinates
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    k = 7
+    es[k] = weight_projector(predicted_weight(labels[k], ctx), ctx.rprime, ctx) * gen_x(1, ctx)
+    res = results(ctx, labels, es)
+    name = format_label(labels[k])
+    assert res["weights"].detail == f"{name} has a term of degree 1"
+    assert res["degree-zero"].detail == f"{name} has degrees [1]"
+
+
+def test_unmatched_or_foreign_input_is_rejected_before_any_work(monkeypatch):
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+
+    def no_work(e):
+        raise AssertionError("an element was read")
+
+    monkeypatch.setattr(verify, "weight_coords", no_work)
+    with pytest.raises(ValueError, match="107 labels for 108 elements"):
+        certify_decomposition(ctx, labels[:-1], es)
+    with pytest.raises(ValueError, match="108 labels for 107 elements"):
+        certify_decomposition(ctx, labels, es[:-1])
+    with pytest.raises(ValueError, match="outside"):
+        certify_decomposition(ctx, labels, es[:-1] + [one(AlgebraCtx(3, 2, 2))])
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 2, 2)])
+def test_rand_elem_matches_the_sum_of_its_terms(p, r, rprime):
+    # one construction per element, the same element and RNG state as the
+    # running sum of c * pbw_elem(m, n, m') in the same draw order
+    ctx = AlgebraCtx(p, r, rprime)
+    fast, slow = random.Random(p * 100 + rprime), random.Random(p * 100 + rprime)
+    for k in range(400):
+        nterms = 1 + k % 4
+        out = zero(ctx)
+        for _ in range(nterms):
+            m = slow.randrange(ctx.xy_range)
+            mp_ = slow.randrange(ctx.xy_range)
+            n = slow.randrange(ctx.q)
+            out = out + slow.randrange(1, ctx.p) * pbw_elem(m, n, mp_, ctx)
+        assert verify._rand_elem(fast, ctx, nterms) == out
+        assert fast.getstate() == slow.getstate()
 
 
 @pytest.mark.parametrize(
