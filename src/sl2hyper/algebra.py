@@ -22,47 +22,25 @@ recovered through the unitriangular Pascal matrix C(w, n), used only by
 algebra B_nu (lemma in `verify`) into its weight nu and p**r coordinates.
 
 An element's torus factors are the rows of one (k, q) block, reduced mod
-p and support-masked in one pass each.  The block sits in a read-only
-bytes buffer that cannot be made writeable again, so a shared (cached)
-element cannot be changed through its arrays.  The element keeps the block
-itself (`_block`) as well as the row views in `terms`.
-
-Each stored torus factor also carries its support {w : f(w) != 0} as a
-q-bit integer mask.  In a product of two terms the i-independent middle
-factor is h(w) = f1(w - 2m2) * f2(w - 2m1') mod p.  Entries lie in [0, p)
-and F_p has no zero divisors, so h = 0 exactly when the two shifted
-supports are disjoint (the *support lemma*).  Rotating one mask against
-the other and testing the AND therefore rejects an empty term pair with
-integer operations alone, before any array is touched.
-
-The pair test reads supp f1 against supp f2 rotated by 2(m1' - m2), that
-is against U_2 rotated by +2m1' with U_2 = supp f2 rotated by -2m2.
-Rotation distributes over union, so one left term meets some right term
-exactly when its support meets U rotated by +2m1', where U, the *right
-union*, is the union of all U_2 (the *union lemma*).  A product skips every
-left term that misses it, with its whole row of pairs; the per-pair test
-runs only in the rows that remain.
-
-Rotating that row test by -2m1' turns it into: supp f1 rotated by -2m1'
-meets U.  Let L, the *left union*, be the union over left terms of supp f1
-rotated by -2m1'.  Rotation distributes over union again, so some row
-survives exactly when L and U meet (the *two-sided union lemma*).  An
-element makes both unions as q-bit integers the first time it is a factor
-of a product, and keeps them.  A product whose L & U is 0 is zero by the
-support lemma: it is decided by one AND and returns the context's one
-shared zero element, the same object as `zero(ctx)`.
+p in one pass.  The block sits in a read-only bytes buffer that cannot be
+made writeable again, so a shared (cached) element cannot be changed
+through its arrays.  The element keeps the block itself (`_block`) as well
+as the row views in `terms`.
 
 A (term pair, i) contribution has coefficient C(m1+m2-i, m1) C(m1'+m2'-i, m2')
 mod p.  Once m1 + (m2 - i) reaches p**r the base-p addition carries, and
 Kummer gives C(m1+m2-i, m1) = 0; likewise for the primed pair.  So i starts
 at max(0, m1 + m2 - p**r + 1, m1' + m2' - p**r + 1), the *Kummer bound*.
 
-Multiplication is one batched kernel per product.  The surviving (term
-pair, i) contributions are collected as plain integer lists: shifts, row
-offsets, i, the binomial coefficient k and the output key.  Every middle
-factor is then formed at once by fancy-index gathers from the two
-operands' blocks and the Pascal table at the indices (w + s) % q, reduced
-mod p, and added row by row into its output key.  No other table is cached.
+Multiplication is one batched kernel per product.  The (term pair, i)
+contributions with k != 0 mod p are collected as plain integer lists:
+shifts, row offsets, i, k and the output key.  Every middle factor is then
+formed at once by fancy-index gathers from the two operands' blocks and
+the Pascal table at the indices (w + s) % q, reduced mod p, and added row
+by row into its output key.  No other table is cached.  A term pair whose
+shifted supports are disjoint needs no test: its contributions are zero
+rows, and an output key that gets nothing else is a zero row, which
+`_canon` drops.
 """
 
 from __future__ import annotations
@@ -156,12 +134,11 @@ class AlgebraCtx:
         return _pascal(self.p, self.q)
 
 
-def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, tuple[int, ...], np.ndarray]:
-    """Reduced nonzero terms in key order, each one's support mask, and the block.
+def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, np.ndarray]:
+    """Reduced nonzero terms in key order, and the block of their torus factors.
 
-    The torus factors are the rows of one (k, q) block, reduced mod p and
-    masked in one pass each.  Bit w of a mask is set iff the row is nonzero
-    at w, so a mask is nonzero exactly when its row is.
+    The torus factors are the rows of one (k, q) block, reduced mod p in one
+    pass; a row that is zero mod p is dropped with its key.
     """
     p, q, nmax = ctx.p, ctx.q, ctx.xy_range
     keys = sorted(terms)
@@ -175,43 +152,33 @@ def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, tuple[int, ...], np.ndarray]:
             raise ValueError(f"weight function must have length {q}")
         vecs.append(vec)
     if not vecs:
-        return {}, (), np.ndarray((0, q), np.int64, b"")
+        return {}, np.ndarray((0, q), np.int64, b"")
     block = np.array(vecs) % p
-    # packbits sets a bit for every nonzero entry
-    packed = np.packbits(block, axis=1, bitorder="little").tobytes()
-    nb = len(packed) // len(keys)
-    masks = [int.from_bytes(packed[i : i + nb], "little") for i in range(0, len(packed), nb)]
-    if not all(masks):
-        kept = [i for i, mask in enumerate(masks) if mask]
-        keys = [keys[i] for i in kept]
-        masks = [masks[i] for i in kept]
-        block = block[kept]
+    nonzero = block.any(axis=1)
+    if not nonzero.all():
+        keys = [key for key, keep in zip(keys, nonzero.tolist()) if keep]
+        block = block[nonzero]
     # backed by immutable bytes: neither a row nor its base can be made writeable
     block = np.ndarray(block.shape, np.int64, block.tobytes())
-    return dict(zip(keys, block)), tuple(masks), block
+    return dict(zip(keys, block)), block
 
 
 class HyperElem:
     """Sparse normal form: maps (m, m') to the torus factor's evaluation vector.
 
     `terms` is a read-only mapping to the rows of one read-only block,
-    `_block`; `_masks` holds the support mask of each term, in the same
-    order.  `_unions` is None until `_union_masks` first stores the pair
-    (L, U) of the two-sided union lemma (module docstring) there.  The
-    attributes cannot be rebound or deleted, so the masks, the unions and
-    the block always describe the terms and a cached element, the shared
-    zero included, cannot be changed in place.
+    `_block`.  The attributes cannot be rebound or deleted, so the block
+    always holds the terms and a cached element, the shared zero included,
+    cannot be changed in place.
     """
 
-    __slots__ = ("ctx", "terms", "_masks", "_block", "_unions")
+    __slots__ = ("ctx", "terms", "_block")
 
     def __init__(self, ctx: AlgebraCtx, terms):
-        out, masks, block = _canon(ctx, terms)
+        out, block = _canon(ctx, terms)
         object.__setattr__(self, "ctx", ctx)
         object.__setattr__(self, "terms", types.MappingProxyType(out))
-        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_block", block)
-        object.__setattr__(self, "_unions", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HyperElem is immutable: cannot set {name!r}")
@@ -247,28 +214,6 @@ class HyperElem:
     def __sub__(self, other: "HyperElem") -> "HyperElem":
         return self + (-other)
 
-    def _union_masks(self) -> tuple[int, int]:
-        """(L, U): the term masks rotated by -2m' and by -2m, ORed.
-
-        Made on the first product and kept, so the elements that are never
-        a factor (most of a large emitted set) carry no union ints.  Two
-        threads racing here store equal pairs.
-        """
-        unions = self._unions
-        if unions is None:
-            q = self.ctx.q
-            left = right = 0
-            for (m, mp_), mask in zip(self.terms, self._masks):
-                # written twice over 2q bits, a right shift by t in [0, q)
-                # leaves the rotation by -t in the low q bits
-                twice = mask | mask << q
-                left |= twice >> 2 * mp_ % q
-                right |= twice >> 2 * m % q
-            full = (1 << q) - 1
-            unions = left & full, right & full
-            object.__setattr__(self, "_unions", unions)
-        return unions
-
     def _check(self, other: "HyperElem") -> None:
         if self.ctx != other.ctx:
             raise ValueError(f"context mismatch: {self.ctx} vs {other.ctx}")
@@ -281,43 +226,14 @@ class HyperElem:
             return NotImplemented
         self._check(other)
         ctx = self.ctx
-        # Two-sided union lemma: the row test below, rotated by -2m1', asks
-        # whether supp f1 rotated by -2m1' meets the right union U; over all
-        # rows that is whether the left union L meets U.  If they are
-        # disjoint no row survives, so by the support lemma the product is 0.
-        left, _ = self._union_masks()
-        _, union = other._union_masks()
-        if not left & union:
-            return zero(ctx)
         p, q, nmax = ctx.p, ctx.q, ctx.xy_range
-        # Union lemma: rotation distributes over union, so U rotated by +2m1'
-        # is the union of the sets the support lemma below tests against
-        # supp f1.  A left term whose support misses it meets no right term,
-        # and its whole row of term pairs is skipped.  U is written twice
-        # over 2q bits, so that a right shift by t in [0, q) leaves its
-        # rotation by -t in the low q bits.
-        union |= union << q
         pas = ctx.pascal
-        # some row survives (L meets U), so the right masks are read; each is
-        # written twice over 2q bits, like U
-        right = [
-            (row2, m2, m2p, mask | mask << q)
-            for row2, ((m2, m2p), mask) in enumerate(zip(other.terms, other._masks))
-        ]
         # per contribution: shifts into f1, f2 and the Pascal column, the row
         # offsets of f1, f2 and the column i, the coefficient k, the output slot
         rows: list[int] = []
         slots: dict[tuple[int, int], int] = {}
-        for row1, ((m1, m1p), mask1) in enumerate(zip(self.terms, self._masks)):
-            if not mask1 & union >> (-2 * m1p) % q:
-                continue
-            for row2, m2, m2p, twice2 in right:
-                # Support lemma: h = f1(w - 2m2) f2(w - 2m1') is zero exactly
-                # when the support of f1 shifted by 2m2 misses that of f2
-                # shifted by 2m1', that is when supp f1 misses supp f2
-                # rotated by 2(m1' - m2).
-                if not mask1 & (twice2 >> (2 * (m2 - m1p)) % q):
-                    continue
+        for row1, (m1, m1p) in enumerate(self.terms):
+            for row2, (m2, m2p) in enumerate(other.terms):
                 # Kummer bound: below it m1 + (m2 - i) or m2' + (m1' - i)
                 # carries out of the top base-p digit, so k = 0 mod p
                 lo = max(0, m1 + m2 - nmax + 1, m1p + m2p - nmax + 1)
@@ -356,7 +272,9 @@ class HyperElem:
         mid %= p
         acc = np.zeros((len(slots), q), dtype=np.int64)
         np.add.at(acc, cols[7], mid)
-        return HyperElem(ctx, dict(zip(slots, acc)))
+        out = HyperElem(ctx, dict(zip(slots, acc)))
+        # `_canon` drops zero rows (disjoint supports, or sums that cancel)
+        return out if out.terms else zero(ctx)
 
     def __rmul__(self, other):
         if isinstance(other, (int, np.integer)):
@@ -367,8 +285,8 @@ class HyperElem:
 @functools.lru_cache(maxsize=None)
 def zero(ctx: AlgebraCtx, /) -> HyperElem:
     """The zero element: one shared instance per context, also returned by
-    every zero product.  (Positional only: the cache would key a keyword
-    call apart and make a second zero.)"""
+    every product whose result is empty.  (Positional only: the cache would
+    key a keyword call apart and make a second zero.)"""
     return HyperElem(ctx, {})
 
 

@@ -1,8 +1,6 @@
 import functools
 import json
 import random
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -99,8 +97,8 @@ def test_pascal_table_is_read_only():
 
 
 def test_zero_is_shared():
-    # one zero per context: zero(ctx) and both empty exits of a product, the
-    # one-AND exit (disjoint unions) and the exit with no (pair, i) row
+    # one zero per context: zero(ctx) and every empty product, both one whose
+    # (pair, i) rows are all zero and one with no (pair, i) row
     ctx = AlgebraCtx(3, 1, 2)
     z = zero(ctx)
     assert z is zero(ctx) and z is zero(AlgebraCtx(3, 1, 2))
@@ -110,17 +108,16 @@ def test_zero_is_shared():
         zero(ctx=ctx)
     mu0 = HyperElem(ctx, {(0, 0): np.eye(ctx.q, dtype=np.int64)[0]})
     mu1 = HyperElem(ctx, {(0, 0): np.eye(ctx.q, dtype=np.int64)[1]})
-    assert not mu0._union_masks()[0] & mu1._union_masks()[1]
+    # disjoint supports: the kernel forms one zero row, which is dropped
     assert mu0 * mu1 is z
-    # X^(1) X^(2) = C(3, 1) X^(3): L meets U, but the Kummer bound leaves no i
-    assert gen_x(1, ctx)._union_masks()[0] & gen_x(2, ctx)._union_masks()[1]
+    # X^(1) X^(2) = C(3, 1) X^(3): the Kummer bound leaves no i
     assert gen_x(1, ctx) * gen_x(2, ctx) is z
     assert (z * one(ctx)) is z and (one(ctx) * z) is z
     with pytest.raises(ValueError):
         z._block.setflags(write=True)
     with pytest.raises(TypeError):
         z.terms[(0, 0)] = np.ones(ctx.q, dtype=np.int64)
-    assert z.terms == {} and z._masks == ()
+    assert z.terms == {} and z._block.shape == (0, ctx.q)
 
 
 def test_multiply_cross_example():
@@ -167,9 +164,9 @@ def binom_column(p, q, i):
 
 
 def product_per_pair(u, v):
-    # the term-pair loop without the support-mask filters, the Kummer bound
-    # or the batching: every pair forms h with np.roll and is dropped only
-    # when h is zero, every i from 0 is visited, and every (pair, i)
+    # the term-pair loop without the Kummer bound or the batching: every
+    # pair forms h with np.roll and is dropped when h is zero (a test the
+    # kernel does not make), every i from 0 is visited, and every (pair, i)
     # contribution is added into its key on its own; all binomials come
     # from modp.binom_mod_p, not from the table the kernel reads
     ctx = u.ctx
@@ -222,7 +219,8 @@ def sparse_elem(draw, ctx):
     return HyperElem(ctx, terms)
 
 
-# (2,1,7) has q = 128, so its support masks span several machine words
+# the draws hold many term pairs with disjoint supports, whose zero rows the
+# kernel forms and drops; (2,1,7) has q = 128, the widest rows drawn here
 @pytest.mark.parametrize(
     "p, r, rprime",
     [(2, 1, 1), (2, 3, 3), (3, 2, 3), (3, 3, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)],
@@ -245,7 +243,8 @@ def idempotents_by_weight(ctx):
 
 def test_kernel_matches_per_pair_products_on_idempotents():
     # real operands: e_i e_j for same-weight pairs has many (pair, i)
-    # contributions per output key; other pairs are skipped row by row
+    # contributions per output key; in other pairs every contribution is a
+    # zero row, since the weights' supports are disjoint
     es, ws = idempotents_by_weight(AlgebraCtx(3, 2, 2))
     same = [(a, b) for a in range(len(es)) for b in range(len(es)) if ws[a] == ws[b]]
     assert len(same) == 144
@@ -258,21 +257,6 @@ def test_kernel_matches_per_pair_products_on_idempotents():
     other = rng.sample([ab for ab in pairs if ws[ab[0]] != ws[ab[1]]], 200)
     for a, b in same + other:
         assert es[a] * es[b] == product_per_pair(es[a], es[b])
-
-
-@pytest.mark.parametrize(
-    "p, r, rprime, disjoint", [(3, 2, 2, 1152), (3, 2, 3, 11232), (2, 3, 4, 2706)]
-)
-def test_unions_disjoint_exactly_across_weights(p, r, rprime, disjoint):
-    # a degree-0 weight vector's L and U are both the bit of its weight, so
-    # the one-AND exit takes exactly the ordered pairs of different weights
-    es, ws = idempotents_by_weight(AlgebraCtx(p, r, rprime))
-    for e, w in zip(es, ws):
-        assert e._union_masks() == (1 << w, 1 << w)
-    pairs = [(a, b) for a in range(len(es)) for b in range(len(es))]
-    skipped = [(a, b) for a, b in pairs if not es[a]._union_masks()[0] & es[b]._union_masks()[1]]
-    assert skipped == [(a, b) for a, b in pairs if ws[a] != ws[b]]
-    assert len(skipped) == disjoint
 
 
 def test_degree_decompose():
@@ -470,15 +454,15 @@ def test_canon_checks_masks_and_order():
     terms = {(2, 1): 3 * good, (1, 2): good - 1, (0, 0): zeros, (1, 0): good}
     u = HyperElem(ctx, terms)
     assert list(u.terms) == [(1, 0), (1, 2)]
-    assert HyperElem(ctx, {(0, 0): 3 * good}).is_zero()
-    assert HyperElem(ctx, {(0, 0): 3 * good})._masks == ()
-    for (key, vec), mask in zip(u.terms.items(), u._masks):
+    for key, vec in u.terms.items():
         assert vec.tolist() == (np.asarray(terms[key]) % 3).tolist()
-        bits = np.packbits(vec != 0, bitorder="little").tobytes()
-        assert mask == int.from_bytes(bits, "little") != 0
+    # the block holds the kept rows only, in key order
+    assert u._block.tolist() == [u.terms[key].tolist() for key in u.terms]
+    assert HyperElem(ctx, {(0, 0): 3 * good}).is_zero()
+    assert HyperElem(ctx, {(0, 0): zeros, (2, 2): 3 * good})._block.shape == (0, q)
 
 
-# small contexts for the property tests, (2,1,4) with its 16-bit masks included
+# small contexts for the property tests, (2,1,4) with q = 16 included
 SMALL_CTXS = [
     AlgebraCtx(*c) for c in [(2, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 2), (3, 2, 2), (5, 1, 1)]
 ]
@@ -512,58 +496,6 @@ def test_ring_axioms(elems):
     assert u * (v + w) == u * v + u * w
     assert (u + v) * w == u * w + v * w
     assert e * u == u == u * e
-
-
-def test_unions_made_on_first_use_under_threads():
-    # an element fills in its unions on its first product; threads racing on
-    # fresh shared elements (more threads than cores, frequent switches) must
-    # all get the serial products and leave the serial unions
-    es, _ = idempotents_by_weight(AlgebraCtx(3, 2, 2))
-    want = [[a * b for b in es] for a in es]
-    fresh = [HyperElem(e.ctx, e.terms) for e in es]
-    results = [None] * 4
-
-    def work(k):
-        results[k] = [[a * b for b in fresh] for a in fresh]
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(r == want for r in results)
-    assert [f._unions for f in fresh] == [e._union_masks() for e in es]
-
-
-def unions_from_masks(u):
-    # L and U from each mask's set bits and its key: bit w goes to w - 2m'
-    # and to w - 2m
-    q = u.ctx.q
-    left = right = 0
-    for (m, mp), mask in zip(u.terms, u._masks):
-        for w in range(q):
-            if mask >> w & 1:
-                left |= 1 << (w - 2 * mp) % q
-                right |= 1 << (w - 2 * m) % q
-    return left, right
-
-
-@PROPERTY
-@given(st.one_of(elems_in_small_ctx(1).map(lambda t: t[0]), sparse_elem(AlgebraCtx(2, 1, 7))))
-def test_cached_unions_match_masks(u):
-    # dense elements include rows that are dropped as zero; (2,1,7) has
-    # q = 128, so its unions span several machine words
-    assert u._unions is None
-    unions = u._union_masks()
-    assert unions == unions_from_masks(u)
-    # made once, on first use, and kept
-    assert u._unions is unions and u._union_masks() is unions
 
 
 @PROPERTY

@@ -1,4 +1,4 @@
-"""No module imports another module's private names."""
+"""No module imports another module's private names or reads an element's layout."""
 
 import ast
 from pathlib import Path
@@ -25,3 +25,29 @@ def _private_imports(path: Path) -> list[str]:
 
 def test_no_private_imports():
     assert [hit for path in FILES for hit in _private_imports(path)] == []
+
+
+def _private_attributes(source: str, where: str) -> list[str]:
+    # a leading-underscore attribute, read or set, on anything but self
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        name = node.attr
+        if not name.startswith("_") or name.endswith("__"):
+            continue
+        if isinstance(node.value, ast.Name) and node.value.id == "self":
+            continue
+        out.append(f"{where}:{node.lineno} uses .{name}")
+    return out
+
+
+def test_element_layout_stays_in_algebra():
+    # HyperElem's private state (`_block`) is read by algebra alone
+    assert _private_attributes("u._block.ravel()\nself._check(v)", "x") == ["x:1 uses ._block"]
+    hits = []
+    for path in sorted((ROOT / "src" / "sl2hyper").glob("*.py")):
+        if path.name != "algebra.py":
+            source = path.read_text(encoding="utf-8")
+            hits += _private_attributes(source, str(path.relative_to(ROOT)))
+    assert hits == []
