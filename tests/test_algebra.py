@@ -219,13 +219,14 @@ def sparse_elem(draw, ctx):
     return HyperElem(ctx, terms)
 
 
-# the draws hold many term pairs with disjoint supports, whose zero rows the
-# kernel forms and drops; (2,1,7) has q = 128, the widest rows drawn here
+# the batched kernel against the per-pair product on sparse draws, which hold
+# many term pairs with disjoint supports, whose zero rows the kernel forms and
+# drops; (2,1,7) has q = 128, the widest rows drawn here
 @pytest.mark.parametrize(
     "p, r, rprime",
     [(2, 1, 1), (2, 3, 3), (3, 2, 3), (3, 3, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)],
 )
-def test_support_filter_matches_per_pair_products(p, r, rprime):
+def test_kernel_matches_per_pair_products(p, r, rprime):
     ctx = AlgebraCtx(p, r, rprime)
 
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -234,6 +235,25 @@ def test_support_filter_matches_per_pair_products(p, r, rprime):
         assert u * v == product_per_pair(u, v)
 
     check()
+
+
+def tau(u):
+    # the anti-involution Y^(m) f X^(m') -> Y^(m') f X^(m): swap each key
+    return HyperElem(u.ctx, {(mp, m): f for (m, mp), f in u.terms.items()})
+
+
+@pytest.mark.parametrize(
+    "p, r, rprime",
+    [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 1, 2)],
+)
+def test_anti_involution_reverses_products(p, r, rprime):
+    # oracle for verify's anti-involution lemma, on which the commutativity
+    # of the weight-space algebras B_nu rests: tau(uv) = tau(v) tau(u)
+    ctx = AlgebraCtx(p, r, rprime)
+    rng = random.Random(SEED + 100 * p + 10 * r + rprime)
+    for _ in range(40):
+        u, v = rand_elem(rng, ctx), rand_elem(rng, ctx)
+        assert tau(u * v) == tau(v) * tau(u)
 
 
 def idempotents_by_weight(ctx):

@@ -73,6 +73,23 @@ def test_coordinate_products_match_hyperelem_products(p, r, rprime):
     check()
 
 
+@pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS)
+def test_structure_products_have_degree_zero_and_commute(p, r, rprime):
+    # oracle for the grading and anti-involution lemmas (verify's module
+    # docstring): every Y^(a)X^(a) Y^(b)X^(b), formed here in the reversed
+    # order, has only keys (c, c), and the slices satisfy g^{ab} = g^{ba}
+    ctx = AlgebraCtx(p, r, rprime)
+    n = ctx.xy_range
+    yx = [pbw_elem(a, 0, a, ctx) for a in range(n)]
+    for a, g in verify._yx_slices(ctx):
+        for b in range(n):
+            reversed_ = np.zeros((n, ctx.q), dtype=np.int64)
+            for (c, cp), f in (yx[b] * yx[a]).terms.items():
+                assert c == cp, (b, a)
+                reversed_[c] = f
+            assert np.array_equal(g[b], reversed_), (a, b)
+
+
 @pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
 def test_frobenius_rows_are_pth_powers(p, r, rprime):
     ctx = AlgebraCtx(p, r, rprime)
@@ -116,6 +133,15 @@ def test_true_families_pass():
         ctx = AlgebraCtx(*c)
         res = results(ctx, *family(ctx))
         assert all(r.passed for r in res.values()), (c, res)
+
+
+def test_dropped_label_fails_the_simple_dimension_sum():
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    n = len(labels)
+    assert results(ctx, labels, es)["label-count"].detail == f"{n} labels = sum of simple dimensions"
+    detail = results(ctx, labels[1:], es[1:])["label-count"].detail
+    assert f"{n - 1} labels, simple-dimension sum {n}" in detail.split("; ")
 
 
 def test_scaled_idempotent_fails_idempotency_by_label():
@@ -243,38 +269,3 @@ def test_berlekamp_counts_certify_exactly_when_p_odd_or_r_below_rprime(p, r, rpr
     labels.pop(j)
     detail = results(ctx, labels, es)["label-count"].detail
     assert ("ker" in detail) is counted
-
-
-def skewed_pbw(monkeypatch, extra):
-    # Y^(a)X^(a) factors whose product Y^(1)X^(1) * Y^(b)X^(b) gains `extra`
-    real = verify.pbw_elem
-
-    class Skewed(HyperElem):
-        __slots__ = ()
-
-        def __mul__(self, other):
-            out = HyperElem.__mul__(self, other)
-            if (1, 1) in self.terms and extra[0] in other.terms:
-                out = out + extra[1]
-            return out
-
-    def pbw_elem(m, n, mp_, ctx):
-        return Skewed(ctx, real(m, n, mp_, ctx).terms)
-
-    monkeypatch.setattr(verify, "pbw_elem", pbw_elem)
-
-
-def test_non_commuting_structure_constants_fail(monkeypatch):
-    ctx = AlgebraCtx(3, 1, 2)
-    skewed_pbw(monkeypatch, ((2, 2), one(ctx)))
-    res = results(ctx, *family(ctx))
-    for check in ("label-count", "idempotency", "orthogonality"):
-        assert res[check].detail == "Y^(1)X^(1) and Y^(2)X^(2) do not commute"
-
-
-def test_structure_constants_of_nonzero_degree_fail(monkeypatch):
-    ctx = AlgebraCtx(3, 1, 2)
-    skewed_pbw(monkeypatch, ((1, 1), gen_x(1, ctx)))
-    res = results(ctx, *family(ctx))
-    for check in ("idempotency", "orthogonality"):
-        assert res[check].detail == "Y^(1)X^(1) Y^(1)X^(1) has a term of degree 1"
