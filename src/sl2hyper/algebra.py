@@ -25,7 +25,12 @@ An element's torus factors are the rows of one (k, q) block, reduced mod
 p in one pass.  The block sits in a read-only bytes buffer that cannot be
 made writeable again, so a shared (cached) element cannot be changed
 through its arrays.  The element keeps the block itself (`_block`) as well
-as the row views in `terms`.
+as the row views in `terms`.  One finishing step, `_finish`, drops the
+zero rows and freezes the block.  A mapping passed to `HyperElem` reaches
+it through `_canon`, which checks each key and vector and stacks them; a
+product, a scalar multiple, a negation, `fr`, `fr_prime` and `embed` form
+their result's block in key order from their operands' blocks and hand it
+over directly.  `element_to_json` reads the block with one `tolist`.
 
 A (term pair, i) contribution has coefficient C(m1+m2-i, m1) C(m1'+m2'-i, m2')
 mod p.  Once m1 + (m2 - i) reaches p**r the base-p addition carries, and
@@ -40,7 +45,7 @@ the Pascal table at the indices (w + s) % q, reduced mod p, and added row
 by row into its output key.  No other table is cached.  A term pair whose
 shifted supports are disjoint needs no test: its contributions are zero
 rows, and an output key that gets nothing else is a zero row, which
-`_canon` drops.
+`_finish` drops.
 """
 
 from __future__ import annotations
@@ -135,10 +140,10 @@ class AlgebraCtx:
 
 
 def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, np.ndarray]:
-    """Reduced nonzero terms in key order, and the block of their torus factors.
+    """Validate a mapping (m, m') -> torus factor, then `_finish` it in key order.
 
-    The torus factors are the rows of one (k, q) block, reduced mod p in one
-    pass; a row that is zero mod p is dropped with its key.
+    This is the path of dicts built outside the kernel: each key's range and
+    each vector's length are checked, and the vectors are stacked once.
     """
     p, q, nmax = ctx.p, ctx.q, ctx.xy_range
     keys = sorted(terms)
@@ -151,9 +156,16 @@ def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, np.ndarray]:
         if vec.shape != (q,):
             raise ValueError(f"weight function must have length {q}")
         vecs.append(vec)
-    if not vecs:
-        return {}, np.ndarray((0, q), np.int64, b"")
-    block = np.array(vecs) % p
+    return _finish(keys, np.array(vecs, dtype=np.int64).reshape(len(keys), q) % p)
+
+
+def _finish(keys: list, block: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Terms and frozen block from sorted keys and their rows, reduced mod p.
+
+    A zero row is dropped with its key, and the block is copied into
+    read-only bytes.  Nothing is checked: `_canon` validates a mapping from
+    outside, and the callers of `_from_block` build theirs in key order.
+    """
     nonzero = block.any(axis=1)
     if not nonzero.all():
         keys = [key for key, keep in zip(keys, nonzero.tolist()) if keep]
@@ -175,9 +187,11 @@ class HyperElem:
     __slots__ = ("ctx", "terms", "_block")
 
     def __init__(self, ctx: AlgebraCtx, terms):
-        out, block = _canon(ctx, terms)
+        self._freeze(ctx, *_canon(ctx, terms))
+
+    def _freeze(self, ctx: AlgebraCtx, terms: dict, block: np.ndarray) -> None:
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", types.MappingProxyType(out))
+        object.__setattr__(self, "terms", types.MappingProxyType(terms))
         object.__setattr__(self, "_block", block)
 
     def __setattr__(self, name, value):
@@ -208,8 +222,7 @@ class HyperElem:
         return HyperElem(self.ctx, out)
 
     def __neg__(self) -> "HyperElem":
-        p = self.ctx.p
-        return HyperElem(self.ctx, {k: (-v) % p for k, v in self.terms.items()})
+        return _from_block(self.ctx, list(self.terms), -self._block % self.ctx.p)
 
     def __sub__(self, other: "HyperElem") -> "HyperElem":
         return self + (-other)
@@ -220,8 +233,8 @@ class HyperElem:
 
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
-            s = int(other) % self.ctx.p
-            return HyperElem(self.ctx, {k: v * s for k, v in self.terms.items()})
+            p = self.ctx.p
+            return _from_block(self.ctx, list(self.terms), self._block * (int(other) % p) % p)
         if not isinstance(other, HyperElem):
             return NotImplemented
         self._check(other)
@@ -272,14 +285,27 @@ class HyperElem:
         mid %= p
         acc = np.zeros((len(slots), q), dtype=np.int64)
         np.add.at(acc, cols[7], mid)
-        out = HyperElem(ctx, dict(zip(slots, acc)))
-        # `_canon` drops zero rows (disjoint supports, or sums that cancel)
-        return out if out.terms else zero(ctx)
+        keys = sorted(slots)
+        acc = acc.take([slots[key] for key in keys], axis=0)
+        acc %= p
+        # `_finish` drops zero rows (disjoint supports, or sums that cancel)
+        return _from_block(ctx, keys, acc)
 
     def __rmul__(self, other):
         if isinstance(other, (int, np.integer)):
             return self.__mul__(other)
         return NotImplemented
+
+
+def _from_block(ctx: AlgebraCtx, keys: list, block: np.ndarray) -> HyperElem:
+    """The element with sorted in-range `keys` and torus factors the rows of
+    `block`, reduced mod p, through `_finish`; an empty result is `zero(ctx)`."""
+    terms, block = _finish(keys, block)
+    if not terms:
+        return zero(ctx)
+    u = object.__new__(HyperElem)
+    u._freeze(ctx, terms, block)
+    return u
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,10 +421,11 @@ def fr(u: HyperElem) -> HyperElem:
         raise ValueError("Frobenius target context would be degenerate for r = 1")
     p = ctx.p
     tgt = AlgebraCtx(p, ctx.r - 1, ctx.rprime - 1)
-    out = {
-        (m // p, mp_ // p): f[::p] for (m, mp_), f in u.terms.items() if not (m % p or mp_ % p)
+    # row -> new key; dividing by p keeps the kept keys in order
+    kept = {
+        row: (m // p, mp_ // p) for row, (m, mp_) in enumerate(u.terms) if not (m % p or mp_ % p)
     }
-    return HyperElem(tgt, out)
+    return _from_block(tgt, list(kept.values()), u._block[list(kept), ::p])
 
 
 def fr_prime(u: HyperElem) -> HyperElem:
@@ -410,8 +437,8 @@ def fr_prime(u: HyperElem) -> HyperElem:
     ctx = u.ctx
     p = ctx.p
     tgt = AlgebraCtx(p, ctx.r + 1, ctx.rprime + 1)
-    out = {(m * p, mp_ * p): np.repeat(f, p) for (m, mp_), f in u.terms.items()}
-    return HyperElem(tgt, out)
+    keys = [(m * p, mp_ * p) for m, mp_ in u.terms]
+    return _from_block(tgt, keys, np.repeat(u._block, p, axis=1))
 
 
 def embed(u: HyperElem, target: AlgebraCtx) -> HyperElem:
@@ -422,18 +449,21 @@ def embed(u: HyperElem, target: AlgebraCtx) -> HyperElem:
     if target == ctx:
         return u
     reps = target.p ** (target.rprime - ctx.rprime)
-    return HyperElem(target, {k: np.tile(f, reps) for k, f in u.terms.items()})
+    return _from_block(target, list(u.terms), np.tile(u._block, (1, reps)))
 
 
 def element_to_json(u: HyperElem) -> dict:
-    """JSON form; terms sorted by (yexp, xexp), torus factors in evaluation form."""
+    """JSON form; terms sorted by (yexp, xexp), torus factors in evaluation form.
+
+    The `h_eval` lists come from one `tolist` of the block, not one per row.
+    """
     return {
         "p": u.ctx.p,
         "r": u.ctx.r,
         "rprime": u.ctx.rprime,
         "terms": [
-            {"yexp": m, "xexp": mp_, "h_eval": f.tolist()}
-            for (m, mp_), f in u.terms.items()
+            {"yexp": m, "xexp": mp_, "h_eval": row}
+            for (m, mp_), row in zip(u.terms, u._block.tolist())
         ],
     }
 

@@ -482,6 +482,47 @@ def test_canon_checks_masks_and_order():
     assert HyperElem(ctx, {(0, 0): zeros, (2, 2): 3 * good})._block.shape == (0, q)
 
 
+def assert_finished(u):
+    # the invariants of every element, however it was built
+    ctx = u.ctx
+    keys = list(u.terms)
+    assert HyperElem(ctx, dict(u.terms)) == u
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(0 <= v.min() and v.max() < ctx.p and v.any() for v in u.terms.values())
+    assert u._block.tolist() == [v.tolist() for v in u.terms.values()]
+    with pytest.raises(ValueError):
+        u._block.setflags(write=True)
+    if u.is_zero():
+        assert u is zero(ctx)
+
+
+@pytest.mark.parametrize(
+    "ctx", [AlgebraCtx(*c) for c in [(2, 2, 2), (3, 1, 2), (3, 2, 2), (5, 1, 1)]], ids=str
+)
+def test_block_path_results_are_finished(ctx):
+    # results of *, the scalar *, -, fr, fr_prime and embed skip `_canon`'s checks
+    rng = random.Random(SEED)
+    big = AlgebraCtx(ctx.p, ctx.r, ctx.rprime + 1)
+    results = []
+    for _ in range(10):
+        u, v = rand_elem(rng, ctx, 4), rand_elem(rng, ctx, 4)
+        results += [u * v, v * u, u * rng.randrange(-ctx.p, 2 * ctx.p), -u, fr_prime(u)]
+        results += [embed(u, big), embed(u, big) * embed(v, big)]
+        if ctx.r > 1:
+            results.append(fr(u))
+    # a product whose rows all vanish, and one that drops the rows of one
+    # summand: idempotents of different weights multiply to zero
+    mu0 = HyperElem(ctx, {(0, 0): np.eye(ctx.q, dtype=np.int64)[0]})
+    mu1 = HyperElem(ctx, {(0, 0): np.eye(ctx.q, dtype=np.int64)[1]})
+    es, ws = idempotents_by_weight(ctx)
+    a, b = es[0], next(e for e, w in zip(es, ws) if w != ws[0])
+    results += [mu0 * mu1, u * 0, u * ctx.p, (a + b) * a, a * (a + b)]
+    assert results[-5] is results[-4] is results[-3] is zero(ctx)
+    assert results[-2] == a == results[-1]
+    for w in results:
+        assert_finished(w)
+
+
 # small contexts for the property tests, (2,1,4) with q = 16 included
 SMALL_CTXS = [
     AlgebraCtx(*c) for c in [(2, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 2), (3, 2, 2), (5, 1, 1)]

@@ -7,9 +7,9 @@ import sys
 import pytest
 
 from sl2hyper import cli
-from sl2hyper.algebra import AlgebraCtx, element_from_json
+from sl2hyper.algebra import AlgebraCtx, element_from_json, element_to_json
 from sl2hyper.cli import main
-from sl2hyper.idempotents import parse_label, tuple_idempotent
+from sl2hyper.idempotents import enumerate_labels, format_label, parse_label, tuple_idempotent
 
 
 def run(capsys, *argv):
@@ -38,6 +38,43 @@ def test_idempotents_round_trip(capsys):
     for item in payload["idempotents"]:
         e = element_from_json(item["element"])
         assert e == tuple_idempotent(parse_label(item["label"], ctx), ctx)
+
+
+def first_difference(a: str, b: str):
+    # None when equal, else the first differing index with its context: a
+    # failure reports a short window, not a diff of a megabyte-long line
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[max(i - 40, 0) : i + 40], b[max(i - 40, 0) : i + 40]
+
+
+@pytest.mark.parametrize(
+    "p, r, rprime",
+    [(2, 1, 1), (2, 2, 3), (3, 2, 3), (5, 2, 2), (11, 1, 2), (13, 1, 1)],
+    ids=lambda v: str(v),
+)
+def test_json_writer_matches_payload_dumps(capsys, tmp_path, p, r, rprime):
+    # the oracle: the payload of dicts and lists, dumped compact and sorted
+    ctx = AlgebraCtx(p, r, rprime)
+    entries = [
+        {"label": format_label(lb), "element": element_to_json(tuple_idempotent(lb, ctx))}
+        for lb in enumerate_labels(ctx)
+    ]
+    payload = {"p": p, "r": r, "rprime": rprime, "count": len(entries), "idempotents": entries}
+    args = ("--p", str(p), "--r", str(r), "--rprime", str(rprime), "--format", "json")
+    code, out, _ = run(capsys, "idempotents", *args)
+    assert code == 0 and first_difference(out, cli._json_dumps(payload)) is None
+    fixed = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    assert first_difference(out, fixed) is None
+    path = tmp_path / "idem.json"
+    code, _, _ = run(capsys, "idempotents", *args, "--out", str(path))
+    assert code == 0 and first_difference(path.read_text(encoding="utf-8"), out) is None
+    for entry in entries[:: max(1, len(entries) // 7)]:
+        code, out, _ = run(capsys, "show", *args, "--label", entry["label"])
+        assert code == 0 and first_difference(out, cli._json_dumps(entry)) is None
+    code, _, _ = run(capsys, "show", *args, "--label", entry["label"], "--out", str(path))
+    assert code == 0 and path.read_text(encoding="utf-8") == out
 
 
 def test_byte_determinism(capsys, tmp_path):
