@@ -18,8 +18,8 @@ recovered through the unitriangular Pascal matrix C(w, n), used only by
 `format_element`, the F_p row coordinates of `pims.IdealBasis` (census,
 `left_ideal_span`, verify's split-product rank) and verify's round trips.
 
-`weight_coords` is the package's one reader of an element of a weight-space
-algebra B_nu (lemma in `verify`) into its weight nu and p**r coordinates.
+`left_weight` is the package's one reader of torus weights, from supports;
+`weight_coords` reads an element of B_nu (`verify`) into coordinates by it.
 
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p in one pass.  The block sits in a read-only bytes buffer that cannot be
@@ -71,6 +71,7 @@ __all__ = [
     "y_power",
     "shift_weightfn",
     "degree_decompose",
+    "left_weight",
     "weight_coords",
     "weightfn_to_coeffs",
     "coeffs_to_weightfn",
@@ -369,25 +370,34 @@ def degree_decompose(u: HyperElem) -> dict[int, HyperElem]:
     return {d: HyperElem(u.ctx, t) for d, t in sorted(parts.items())}
 
 
-def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
-    """(nu, x) with e = sum_m x[m] beta_m in B_nu (weight-space lemma).
+def left_weight(e: HyperElem) -> tuple[int, np.ndarray]:
+    """(nu, c): the weight with mu_nu e = e, and each term's value at it.
 
-    Raises ValueError unless e is nonzero, has degree 0, and each torus
-    factor f_m has exactly one nonzero entry, at (nu + 2m) mod q.
+    As mu_nu Y^(m) = Y^(m) mu_(nu+2m), mu_nu e = e exactly when each term
+    Y^(m) f X^(m') has f nonzero at (nu + 2m) mod q alone; c[k] is the k-th
+    term's f there.  Raises ValueError unless e is a nonzero weight vector.
     """
-    ctx = e.ctx
     if e.is_zero():
         raise ValueError("is zero")
-    (m0, _), f0 = next(iter(e.terms.items()))
-    nu = (int(np.flatnonzero(f0)[0]) - 2 * m0) % ctx.q
-    x = np.zeros(ctx.xy_range, dtype=np.int64)
-    for (m, mp_), f in e.terms.items():
+    block, q = e._block, e.ctx.q
+    ms = np.array([m for m, _ in e.terms])
+    at = (int(block[0].argmax()) + 2 * (ms - ms[0])) % q
+    c = block[np.arange(len(ms)), at]
+    # argmax finds row 0's nonzero entry when it is the only one, as required
+    if np.count_nonzero(block) != len(ms) or not c.all():
+        raise ValueError("is not a torus weight vector")
+    return int(at[0] - 2 * ms[0]) % q, c
+
+
+def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
+    """(nu, x) with e = sum_m x[m] beta_m in B_nu (weight-space lemma); raises
+    ValueError unless e has degree 0 and `left_weight` reads it."""
+    for m, mp_ in e.terms:
         if m != mp_:
             raise ValueError(f"has a term of degree {mp_ - m}")
-        w = (nu + 2 * m) % ctx.q
-        if np.flatnonzero(f).tolist() != [w]:
-            raise ValueError(f"torus factor of Y^({m}) X^({m}) is not supported at weight {w} alone")
-        x[m] = f[w]
+    nu, c = left_weight(e)
+    x = np.zeros(e.ctx.xy_range, dtype=np.int64)
+    x[[m for m, _ in e.terms]] = c
     return nu, x
 
 

@@ -17,8 +17,8 @@ Products keep the degree m' - m, so for homogeneous e
 which needs only the p**r products X^(b) e; Y^(a) acts on their
 coordinates.  The same products give the top X exponent, the largest b
 with X^(b) e nonzero, so pim_rows reads weight, dimension and top X in one
-pass.  left_ideal_span (the closure under the algebra generators),
-top_x_exponent and weight_of_idempotent stay public as its oracles.
+pass.  left_ideal_span (the closure under the algebra generators) and
+top_x_exponent stay public as its oracles; the weight is read from supports.
 
 IdealBasis.add_coords is the package's one row reduction over F_p: the
 degree blocks above, left-ideal spans and the split-product rank in verify
@@ -37,6 +37,7 @@ from .algebra import (
     gen_h_binom,
     gen_x,
     gen_y,
+    left_weight,
     weightfn_to_coeffs,
 )
 from .idempotents import (
@@ -45,7 +46,6 @@ from .idempotents import (
     format_label,
     min_xy_power,
     tuple_idempotent,
-    weight_projector,
 )
 from .modp import binom_mod_p, inv_mod_p
 
@@ -225,8 +225,11 @@ class PimLabel:
     dim: int
 
 
-def _b_digit(pair, p: int) -> int:
-    return pair.a - p if pair.case in ("A", "C") else pair.a
+def _signed_digits(label: TupleLabel, p: int) -> tuple[int, int]:
+    # (s, t): s = sum_i b_i p**i with b_i = a_i - p in cases A/C and a_i in
+    # cases B/D, and the torus part t = a' + 1 if s < 0, else a'
+    s = sum((pr.a - p if pr.case in ("A", "C") else pr.a) * p**i for i, pr in enumerate(label.pairs))
+    return s, (label.aprime or 0) + (s < 0)
 
 
 def pim_label_closed_form(label: TupleLabel, ctx: AlgebraCtx) -> PimLabel:
@@ -237,15 +240,9 @@ def pim_label_closed_form(label: TupleLabel, ctx: AlgebraCtx) -> PimLabel:
     a' + 1 (wrapping to 0 at the top block) otherwise.
     """
     p = ctx.p
-    betas = []
-    bsum = 0
-    for i, pr in enumerate(label.pairs):
-        betas.append(p - pr.two_j - 1 if pr.case in ("B", "C") else pr.two_j - 1)
-        bsum += _b_digit(pr, p) * p**i
+    betas = [p - pr.two_j - 1 if pr.case in ("B", "C") else pr.two_j - 1 for pr in label.pairs]
     lam1 = sum(beta * p**i for i, beta in enumerate(betas))
-    blocks = p ** (ctx.rprime - ctx.r)
-    ap = label.aprime or 0
-    lam2 = ap if bsum >= 0 else (ap + 1) % blocks
+    lam2 = _signed_digits(label, p)[1] % p ** (ctx.rprime - ctx.r)
     dim = 1
     for beta in betas:
         dim *= p if beta == p - 1 else 2 * p
@@ -253,13 +250,9 @@ def pim_label_closed_form(label: TupleLabel, ctx: AlgebraCtx) -> PimLabel:
 
 
 def predicted_weight(label: TupleLabel, ctx: AlgebraCtx) -> int:
-    """Torus weight of the label's idempotent from the signed digits b_i."""
-    p = ctx.p
-    bsum = sum(_b_digit(pr, p) * p**i for i, pr in enumerate(label.pairs))
-    nu = bsum + (label.aprime or 0) * p**ctx.r
-    if bsum < 0:
-        nu += p**ctx.r
-    return nu % ctx.q
+    """Torus weight of the label's idempotent: sum_i b_i p**i + lambda'' p**r mod q."""
+    s, t = _signed_digits(label, ctx.p)
+    return (s + t * ctx.p**ctx.r) % ctx.q
 
 
 def predicted_top_x(label: TupleLabel, p: int) -> int:
@@ -279,16 +272,9 @@ def top_x_exponent(e: HyperElem) -> int:
 
 
 def weight_of_idempotent(e: HyperElem) -> int:
-    """The unique nu whose depth-rprime weight projector fixes e under left
-    multiplication; raises if e is not a torus weight vector."""
-    if e.is_zero():
-        raise ValueError("the zero element has no weight")
-    ctx = e.ctx
-    (m, _), f = next(iter(e.terms.items()))
-    nu = (int(np.nonzero(f)[0][0]) - 2 * m) % ctx.q
-    if weight_projector(nu, ctx.rprime, ctx) * e != e:
-        raise ValueError("element is not a torus weight vector")
-    return nu
+    """The nu with mu_nu e = e for the depth-rprime weight projector mu_nu, read
+    from supports (`algebra.left_weight`); ValueError unless e is a weight vector."""
+    return left_weight(e)[0]
 
 
 def pim_rows(ctx: AlgebraCtx) -> list[dict]:

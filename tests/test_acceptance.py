@@ -124,6 +124,8 @@ def test_criterion_4_weights():
             ctx = AlgebraCtx(p, r, r)
             ps = p**r
             mus = [weight_projector(a, r, ctx) for a in range(ps)]
+            # the product route: oracle for verify's weight-projectors check,
+            # which reads the torus factors instead (pointwise lemma)
             for a, mu in enumerate(mus):
                 assert mu * mu == mu
                 for b in range(a + 1, ps):

@@ -21,13 +21,15 @@ from sl2hyper.algebra import (
     gen_h_binom,
     gen_x,
     gen_y,
+    left_weight,
     one,
     pbw_elem,
     shift_weightfn,
+    weight_coords,
     weightfn_to_coeffs,
     zero,
 )
-from sl2hyper.idempotents import enumerate_labels, tuple_idempotent
+from sl2hyper.idempotents import enumerate_labels, tuple_idempotent, weight_projector
 from sl2hyper.modp import binom_mod_p
 from sl2hyper.pims import weight_of_idempotent, weyl_action
 
@@ -304,6 +306,37 @@ def test_degree_additivity():
         w = u * v
         d = (m1p - m1) + (m2p - m2)
         assert all(mp - m == d for (m, mp) in w.terms)
+
+
+def test_left_weight_reads_supports():
+    # oracle: the explicit product mu_nu e = e with the depth-rprime projector
+    ctx = AlgebraCtx(3, 1, 2)
+    mu = weight_projector(4, 2, ctx)
+    e = mu * (one(ctx) + 2 * gen_y(1, ctx) * gen_x(1, ctx) + gen_x(2, ctx))
+    nu, c = left_weight(e)
+    assert nu == 4 and mu * e == e
+    assert c.tolist() == [int(f[(nu + 2 * m) % ctx.q]) for (m, _), f in e.terms.items()]
+    with pytest.raises(ValueError, match="is zero"):
+        left_weight(zero(ctx))
+    # a later term supported off its weight (8), alone or beside it
+    last = (2, 2)
+    assert max(e.terms) < last
+    for support in ([4], [4, 8], [8, 0]):
+        f = np.zeros(ctx.q, dtype=np.int64)
+        f[support] = 1
+        off = HyperElem(ctx, {**e.terms, last: f})
+        assert mu * off != off
+        with pytest.raises(ValueError, match="weight vector"):
+            left_weight(off)
+    f = np.zeros(ctx.q, dtype=np.int64)
+    f[8] = 2
+    assert left_weight(HyperElem(ctx, {**e.terms, last: f}))[0] == 4
+    # a degree-1 term: a weight vector, but not an element of B_nu
+    assert left_weight(mu * gen_x(1, ctx))[0] == 4
+    with pytest.raises(ValueError, match="has a term of degree 1"):
+        weight_coords(mu * gen_x(1, ctx))
+    with pytest.raises(ValueError, match="has a term of degree 1"):
+        weight_coords(mu * (one(ctx) + gen_x(1, ctx)))
 
 
 def test_weightfn_conversions():

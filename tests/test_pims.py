@@ -169,9 +169,12 @@ def homogeneous_weight_vector(draw):
 def test_left_ideal_dim_matches_span_on_weight_vectors(e):
     assume(not e.is_zero())
     assert left_ideal_dim(e) == left_ideal_span(e).dim
-    # pim_rows' one pass: its weight and top X agree with the separate oracles
+    # pim_rows' one pass: its weight against the explicit product mu_nu e = e
+    # (the support reader is shared with weight_of_idempotent), its top X
+    # against the descending scan
     nu, _, top = pims._ideal_pass(e)
-    assert (nu, top) == (weight_of_idempotent(e), top_x_exponent(e))
+    assert weight_projector(nu, e.ctx.rprime, e.ctx) * e == e
+    assert top == top_x_exponent(e)
 
 
 def test_left_ideal_dim_rejects_inputs_outside_the_lemma():

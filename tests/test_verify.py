@@ -212,6 +212,40 @@ def test_nonzero_degree_weight_vector_fails_weights():
     assert res["degree-zero"].detail == f"{name} has degrees [1]"
 
 
+def test_broken_weight_projectors_fail(monkeypatch):
+    # each family breaks one law of the depth-r projectors
+    ctx = AlgebraCtx(3, 1, 2)
+    real = verify.weight_projector
+    mu = [real(a, 1, ctx) for a in range(3)]
+
+    def check(replace):
+        def broken(a, s, c):
+            return replace[a] if a in replace else real(a, s, c)
+
+        monkeypatch.setattr(verify, "weight_projector", broken)
+        return verify._check_mu_projectors(ctx)
+
+    assert check({}).passed
+    for replace, detail in [
+        ({1: 2 * mu[1]}, "projector 1 not idempotent"),  # a factor with an entry 2
+        ({0: mu[0] + mu[1]}, "projectors 0,1 not orthogonal"),  # two classes overlap
+        ({2: zero(ctx)}, "projectors do not sum to 1"),  # a class is missing
+    ]:
+        res = check(replace)
+        assert res.passed is False
+        assert detail in res.detail.split("; ")
+
+
+def test_weight_projector_outside_the_torus_fails(monkeypatch):
+    # the pointwise lemma reads (0, 0) factors, so any other term is a failure
+    ctx = AlgebraCtx(3, 1, 2)
+    real = verify.weight_projector
+    extra = real(1, 1, ctx) + real(1, 1, ctx) * gen_x(1, ctx)
+    monkeypatch.setattr(verify, "weight_projector", lambda a, s, c: extra if a == 1 else real(a, s, c))
+    res = verify._check_mu_projectors(ctx)
+    assert res.passed is False and res.detail == "projector 1 not in the torus"
+
+
 def test_unmatched_or_foreign_input_is_rejected_before_any_work(monkeypatch):
     ctx = AlgebraCtx(3, 2, 3)
     labels, es = family(ctx)
