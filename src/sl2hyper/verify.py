@@ -17,31 +17,39 @@ degree-0 terms commute with the torus.  Hence:
 
 * two such elements of different weights multiply to
   e_i mu_nu mu_nu' e_j = 0, and no product is needed;
-* writing Y^(a)X^(a) Y^(b)X^(b) = sum_c Y^(c) g_c^{ab} X^(c), one has
-  beta_a beta_b = sum_c g_c^{ab}(nu + 2c) beta_c.  This holds for every p,
-  p = 2 with r = rprime included, because products of degree-0 elements
-  have degree 0.
+* the *product lemma* gives the structure constants of every B_nu.  By the
+  divided-power commutation formula
+  X^(a) Y^(b) = sum_i Y^(b-i) C(H-a-b+2i, i) X^(a-i) (Kostant; Jantzen,
+  Representations of Algebraic Groups, II.1), with Y^(a) Y^(b-i) and
+  X^(a-i) X^(b) merged and c = a + b - i,
 
-So the p**(2r) products Y^(a)X^(a) Y^(b)X^(b), formed by the one product
-kernel, give the structure constants of every B_nu at once, and each
-idempotent is read into p**r scalars.  `orthogonality` decides its N(N-1)
-ordered products by two routes: the lemma for each pair of different
-weights, and one contraction of coordinates with the structure constants
-for each pair of the same weight (which also gives the squares that
-`idempotency` compares).
+      Y^(a)X^(a) Y^(b)X^(b) = sum_c C(c,a) C(c,b) Y^(c) C(H+a+b-2c, a+b-c) X^(c).
+
+  As beta_a = Y^(a)X^(a) delta_nu and delta_nu commutes with degree 0,
+  beta_a beta_b is this product times delta_nu, and so
+
+      beta_a beta_b = sum_c C(c,a) C(c,b) C(nu+a+b, a+b-c) beta_c,
+
+  over max(a, b) <= c <= a + b with c < p**r (from c = p**r on, Y^(a)
+  Y^(b-i) carries out of the top base-p digit, so C(c,a) = 0 mod p).
+  Here a + b - c < p**r <= q, so by Lucas the last factor depends on
+  nu + a + b mod q only.  This holds for every p, p = 2 with r = rprime
+  included.
+
+So each idempotent is read into p**r scalars, and no product of the
+algebra is formed after construction.  `orthogonality` decides its N(N-1)
+ordered products by two routes: the weight-space lemma for each pair of
+different weights, and one contraction of coordinates with the structure
+constants for each pair of the same weight (which also gives the squares
+that `idempotency` compares).  `sum-to-one` reads coordinates too: the
+beta_m of all weights nu are distinct basis elements Y^(m) delta_w X^(m),
+w = nu + 2m, and 1 = sum_nu beta_0, so the idempotents sum to 1 exactly
+when every weight mod q occurs and each weight's rows sum to beta_0.
 
 The same constants certify primitivity by Berlekamp's count ("Factoring
 polynomials over finite fields", Bell Syst. Tech. J., 1967), which needs
-B_nu to be commutative.  That is the *anti-involution lemma*, from the
-anti-automorphism of Dist(G) that swaps X and Y and fixes the torus
-(Jantzen, Representations of Algebraic Groups, II.1).  Let
-tau(Y^(m) f X^(m')) = Y^(m') f X^(m).  Exchanging the two factors of a
-product and swapping each term's exponents leaves the kernel's product
-rule (`algebra`) unchanged: the same coefficient, i-range and middle
-factor, with the output key swapped.  So tau(uv) = tau(v) tau(u).  tau
-fixes every element of degree 0, and products of degree-0 elements have
-degree 0, so for u, v of degree 0, uv = tau(uv) = tau(v) tau(u) = vu.
-Hence B_nu is commutative and Frob: x |-> x^p is F_p-linear on it.
+B_nu to be commutative.  The product lemma is symmetric in a and b, so
+beta_a beta_b = beta_b beta_a, and Frob: x |-> x^p is F_p-linear on B_nu.
 dim ker(Frob - 1) is the number of local factors of B_nu, and rank Frob^r
 is dim B_nu / rad, because a nilpotent x in the p**r-dimensional B_nu has
 x^(p**r) = 0.  The weight-nu idempotents are nonzero, orthogonal and sum
@@ -181,33 +189,14 @@ def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
     for s in range(1, ctx.rprime + 1):
         ps = ctx.p**s
         for a in range(ps):
-            mu = weight_projector(a, s, ctx).terms[(0, 0)]
+            mu = weight_projector(a, s, ctx).terms.get((0, 0))
             formula = np.array(
                 [binom_mod_p(w - a - 1, ps - 1, ctx.p) for w in range(ctx.q)],
                 dtype=np.int64,
             )
-            if not np.array_equal(mu, formula):
+            if mu is None or not np.array_equal(mu, formula):
                 bad.append(f"projector ({a}, depth {s}) != binomial formula")
     return _result("weight-projector-binomial-form", bad)
-
-
-def _yx_slices(ctx: AlgebraCtx):
-    """Yield (a, g) with g[b, c] the torus factor g_c^{ab} of Y^(c) X^(c) in
-    Y^(a)X^(a) Y^(b)X^(b): one (p**r, p**r, q) slice at a time, never the
-    whole tensor, from the p**(2r) products.
-
-    Grading: a contribution's key (m1+m2-i, m1'+m2'-i) has degree
-    (m1'-m1) + (m2'-m2), so a product of degree-0 factors has degree 0
-    and every key is some (c, c).
-    """
-    n = ctx.xy_range
-    yx = [pbw_elem(a, 0, a, ctx) for a in range(n)]
-    for a in range(n):
-        g = np.zeros((n, n, ctx.q), dtype=np.int64)
-        for b in range(n):
-            for (c, _), f in (yx[a] * yx[b]).terms.items():
-                g[b, c] = f
-        yield a, g
 
 
 def weight_space_products(
@@ -218,21 +207,27 @@ def weight_space_products(
     coords maps a weight nu to an (N, p**r) array whose rows are elements
     of B_nu in the basis beta_m.  Returns prods with prods[nu][i, j] the
     coordinates of x_i x_j, and frob with row a of frob[nu] those of
-    beta_a^p.
+    beta_a^p.  Left multiplication by each beta_a is built from the
+    product lemma (module docstring) and the Pascal table, one a at a time.
     """
-    p, n = ctx.p, ctx.xy_range
+    p, n, pas = ctx.p, ctx.xy_range, ctx.pascal
     nus = sorted(coords)
     prods = {nu: np.zeros((len(coords[nu]), len(coords[nu]), n), dtype=np.int64) for nu in nus}
     frob = np.zeros((len(nus), n, n), dtype=np.int64)
-    cols = np.arange(n)
-    # the weight (nu + 2c) mod q at which beta_a beta_b reads g_c^{ab}
-    at = (np.array(nus, dtype=np.int64)[:, None] + 2 * cols) % ctx.q
-    for a, g in _yx_slices(ctx):
-        # t[k, b, c] = g_c^{ab}(nu_k + 2c): left multiplication by beta_a in B_nu_k.
+    b, c = np.arange(n)[:, None], np.arange(n)
+    nu_col = np.array(nus, dtype=np.int64)[:, None]
+    for a in range(n):
+        # t[k, b, c] = C(c,a) C(c,b) C(nu_k+a+b, a+b-c) for c <= a + b: the
+        # beta_c coordinate of beta_a beta_b in B_nu_k.  The last factor is
+        # read only where C(c,a) C(c,b) != 0 mod p, which forces
+        # 0 <= a + b - c <= min(a, b) (and, by Lucas, is rare).
         # Exact in int64: every product and sum below is of entries below p
         # and reduced mod p at once, so a sum of p**r products stays below
         # p**r * p**2 <= 2**36 (p**r <= q <= 4096).
-        t = g[:, cols, at].transpose(1, 0, 2)
+        coef = pas[c, a] * pas[c, b] * (c <= a + b) % p
+        bs, cs = np.nonzero(coef)
+        t = np.zeros((len(nus), n, n), dtype=np.int64)
+        t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % ctx.q, a + bs - cs] % p
         for k, nu in enumerate(nus):
             x = coords[nu]
             # x_i x_j = sum_a x_i[a] (beta_a x_j)
@@ -271,10 +266,11 @@ def certify_decomposition(
 
     Each element is read once (`weight_coords`); idempotency and
     orthogonality are decided in the weight-space algebras B_nu (module
-    docstring).  An element outside the weight-space lemma's hypotheses
-    fails those two and `weights`, named by its label.  For p odd or
-    r < rprime the Berlekamp counts of every B_nu join the label count.
-    Raises ValueError unless there is one element of ctx per label.
+    docstring), and so is their sum.  An element outside the weight-space
+    lemma's hypotheses fails those three and `weights`, named by its label.
+    No product or sum of elements is formed.  For p odd or r < rprime the
+    Berlekamp counts of every B_nu join the label count.  Raises ValueError
+    unless there is one element of ctx per label.
     """
     if len(labels) != len(elements):
         raise ValueError(f"{len(labels)} labels for {len(elements)} elements")
@@ -329,20 +325,23 @@ def certify_decomposition(
             if ker != count or rank != count:
                 bad_count.append(f"weight {nu}: {count} idempotents, ker {ker}, rank {rank}")
 
-    out = [
+    # sum to one in coordinates (module docstring): each weight's rows sum to beta_0
+    beta_0 = np.eye(1, ctx.xy_range, dtype=np.int64)[0]
+    sums_to_one = len(coords) == ctx.q and all(
+        np.array_equal(x.sum(axis=0) % p, beta_0) for x in coords.values()
+    )
+    # a sum with an unread element is not decided in coordinates
+    bad_sum = unread or ([] if sums_to_one else ["sum differs from 1"])
+    degrees = [sorted({mp_ - m for m, mp_ in e.terms}) for e in elements]
+    bad_degree = [f"{name} has degrees {ds}" for name, ds in zip(names, degrees) if ds != [0]]
+    return [
         _result("label-count", bad_count, f"{len(labels)} labels = sum of simple dimensions"),
         _result("idempotency", bad_idem, f"{len(elements)} elements"),
         _result("orthogonality", bad_orth, f"{len(elements) * (len(elements) - 1)} products"),
+        _result("sum-to-one", bad_sum),
+        _result("weights", unread + bad_weight),
+        _result("degree-zero", bad_degree),
     ]
-    total = zero(ctx)
-    for e in elements:
-        total = total + e
-    out.append(_result("sum-to-one", [] if total == one(ctx) else ["sum differs from 1"]))
-    out.append(_result("weights", unread + bad_weight))
-    degrees = [sorted({mp_ - m for m, mp_ in e.terms}) for e in elements]
-    bad = [f"{name} has degrees {ds}" for name, ds in zip(names, degrees) if ds != [0]]
-    out.append(_result("degree-zero", bad))
-    return out
 
 
 def _decomposition_checks(ctx: AlgebraCtx) -> list[CheckResult]:

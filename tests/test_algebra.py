@@ -249,8 +249,8 @@ def tau(u):
     [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 1, 2)],
 )
 def test_anti_involution_reverses_products(p, r, rprime):
-    # oracle for verify's anti-involution lemma, on which the commutativity
-    # of the weight-space algebras B_nu rests: tau(uv) = tau(v) tau(u)
+    # the kernel respects the anti-automorphism of Dist(G) that swaps X and
+    # Y and fixes the torus (Jantzen, II.1): tau(uv) = tau(v) tau(u)
     ctx = AlgebraCtx(p, r, rprime)
     rng = random.Random(SEED + 100 * p + 10 * r + rprime)
     for _ in range(40):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2hyper import verify
+from sl2hyper import cli, verify
 from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_x, one, pbw_elem, zero
 from sl2hyper.idempotents import (
     enumerate_labels,
@@ -73,21 +73,27 @@ def test_coordinate_products_match_hyperelem_products(p, r, rprime):
     check()
 
 
-@pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS)
-def test_structure_products_have_degree_zero_and_commute(p, r, rprime):
-    # oracle for the grading and anti-involution lemmas (verify's module
-    # docstring): every Y^(a)X^(a) Y^(b)X^(b), formed here in the reversed
-    # order, has only keys (c, c), and the slices satisfy g^{ab} = g^{ba}
+@pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS + [(2, 2, 2), (2, 3, 3)])
+def test_product_lemma_matches_kernel_products(p, r, rprime):
+    # oracle for the product lemma (verify's module docstring), with the
+    # grading and commutativity it gives: Y^(a)X^(a) Y^(b)X^(b), formed by the
+    # kernel in both orders, has only keys (c, c), and its factor at nu + 2c
+    # is the beta_c coordinate of beta_a beta_b in every B_nu
     ctx = AlgebraCtx(p, r, rprime)
-    n = ctx.xy_range
+    n, q = ctx.xy_range, ctx.q
+    # with the beta_a as coordinates, prods[nu][a, b] is beta_a beta_b
+    prods, _ = weight_space_products(ctx, {nu: np.eye(n, dtype=np.int64) for nu in range(q)})
+    at = (np.arange(q)[:, None] + 2 * np.arange(n)) % q
     yx = [pbw_elem(a, 0, a, ctx) for a in range(n)]
-    for a, g in verify._yx_slices(ctx):
+    for a in range(n):
         for b in range(n):
-            reversed_ = np.zeros((n, ctx.q), dtype=np.int64)
-            for (c, cp), f in (yx[b] * yx[a]).terms.items():
-                assert c == cp, (b, a)
-                reversed_[c] = f
-            assert np.array_equal(g[b], reversed_), (a, b)
+            want = np.array([prods[nu][a, b] for nu in range(q)])
+            for u in (yx[a] * yx[b], yx[b] * yx[a]):
+                g = np.zeros((n, q), dtype=np.int64)
+                for (c, cp), f in u.terms.items():
+                    assert c == cp, (a, b)
+                    g[c] = f
+                assert np.array_equal(g[np.arange(n), at], want), (a, b)
 
 
 @pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
@@ -144,6 +150,40 @@ def test_dropped_label_fails_the_simple_dimension_sum():
     assert f"{n - 1} labels, simple-dimension sum {n}" in detail.split("; ")
 
 
+def test_dropped_labels_fail_sum_to_one():
+    # one idempotent short, and every idempotent of one weight left out
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    assert results(ctx, labels, es)["sum-to-one"].passed
+    nus = [weight_coords(e)[0] for e in es]
+    keep = [k for k in range(len(es)) if nus[k] != nus[0]]
+    for kept in (range(1, len(es)), keep):
+        res = results(ctx, [labels[k] for k in kept], [es[k] for k in kept])
+        assert res["sum-to-one"].detail == "sum differs from 1"
+
+
+def test_basic_suite_forms_no_product_or_sum_of_elements(monkeypatch):
+    # the families are built first; from then on only coordinates are used
+    ctxs = [AlgebraCtx(3, 2, 3), AlgebraCtx(2, 2, 2)]
+    for ctx in ctxs:
+        family(ctx)
+    real_mul = HyperElem.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, HyperElem):
+            raise AssertionError("a product of elements was formed")
+        return real_mul(self, other)
+
+    def no_sum(self, other):
+        raise AssertionError("a sum of elements was formed")
+
+    monkeypatch.setattr(HyperElem, "__mul__", scalar_only)
+    monkeypatch.setattr(HyperElem, "__add__", no_sum)
+    for ctx in ctxs:
+        res = verify.run_suite(ctx, "basic")
+        assert all(c.passed for c in res), (ctx, res)
+
+
 def test_scaled_idempotent_fails_idempotency_by_label():
     ctx = AlgebraCtx(3, 2, 3)
     labels, es = family(ctx)
@@ -181,7 +221,7 @@ def test_foreign_term_fails_both_checks_by_label():
     es[k] = es[k] + gen_x(1, ctx)
     res = results(ctx, labels, es)
     name = format_label(labels[k])
-    for check in ("idempotency", "orthogonality", "weights"):
+    for check in ("idempotency", "orthogonality", "sum-to-one", "weights"):
         assert not res[check].passed
         assert res[check].detail.startswith(f"{name} has a term of degree 1")
 
@@ -244,6 +284,20 @@ def test_weight_projector_outside_the_torus_fails(monkeypatch):
     monkeypatch.setattr(verify, "weight_projector", lambda a, s, c: extra if a == 1 else real(a, s, c))
     res = verify._check_mu_projectors(ctx)
     assert res.passed is False and res.detail == "projector 1 not in the torus"
+
+
+def test_projector_without_a_torus_term_fails_the_binomial_form(monkeypatch, capsys):
+    # a projector with no (0, 0) term is a failed check, not a KeyError
+    ctx = AlgebraCtx(3, 1, 2)
+    real = verify.weight_projector
+    monkeypatch.setattr(
+        verify, "weight_projector", lambda a, s, c: zero(c) if (a, s) == (2, 1) else real(a, s, c)
+    )
+    res = {c.name: c for c in verify.run_suite(ctx, "basic")}
+    check = res["weight-projector-binomial-form"]
+    assert check.passed is False and check.detail == "projector (2, depth 1) != binomial formula"
+    assert cli.main(["verify", "--p", "3", "--r", "1", "--rprime", "2"]) == 1
+    assert "FAIL weight-projector-binomial-form" in capsys.readouterr().out
 
 
 def test_unmatched_or_foreign_input_is_rejected_before_any_work(monkeypatch):
