@@ -34,34 +34,47 @@ degree-0 terms commute with the torus.  Hence:
   Y^(b-i) carries out of the top base-p digit, so C(c,a) = 0 mod p).
   Here a + b - c < p**r <= q, so by Lucas the last factor depends on
   nu + a + b mod q only.  This holds for every p, p = 2 with r = rprime
-  included.
+  included.  The formula is symmetric in a and b, so B_nu is commutative
+  and Frob: x |-> x^p is F_p-linear on B_nu; row a of its matrix is
+  beta_a^p, formed by p - 1 left multiplications by beta_a.
+
+Within one weight, the *character lemma* decides idempotency,
+orthogonality and primitivity without a product of two idempotents.
+
+* Weight vectors give characters.  For mu < q write mu = mu' + p**r mu''
+  with mu' < p**r.  L(mu) has the basis v_i, for 0 <= i <= mu' with
+  C(mu', i) != 0 mod p, and v_i has weight (mu - 2i) mod q.  beta_m acts
+  on v_i as the scalar chi_(mu,i)(beta_m) = C(mu'-i+m, m) C(i, m): by the
+  Weyl-module rules of `pims.weyl_action`, X^(m) and then Y^(m) return
+  v_i, and the torus factor is 1 at the weight between them.  So each
+  pair (mu, i) is a character of B_nu, where nu = mu - 2i mod q.
+* These are all the simple B_nu-modules.  B_nu and mu_nu A mu_nu share the
+  unit mu_nu, so by Jordan-Hoelder every simple B_nu-module is a
+  composition factor of the restriction of a simple mu_nu A mu_nu-module,
+  and those are the nonzero mu_nu L(mu) (Green, Polynomial Representations
+  of GL_n, 6.2; Jantzen, Representations of Algebraic Groups, II.9).
+  Hence B_nu / rad = F_p^L, and a Frobenius-fixed x (x^p = x) equals
+  sum_l chi_l(x) eps_l over the primitive idempotents eps_l of B_nu.  None
+  of this needs mu_nu A mu_nu = B_nu, so the lemma holds for every p, p = 2
+  with r = rprime included.
+* Certificate.  Let Chi_nu be the matrix whose rows are the chi_(mu,i) of
+  weight nu.  Row x_k is idempotent exactly when x_k Frob = x_k and every
+  chi(x_k) lies in {0, 1}.  Two Frobenius-fixed rows multiply to 0
+  exactly when no chi is nonzero on both.  An idempotent row is primitive
+  in A exactly when exactly one (mu, i) has chi(x_k) = 1, because
+  Hom_A(A x_k, L(mu)) = x_k L(mu), x_k acts diagonally on the v_i, and
+  End_A L(mu) = F_p.
 
 So each idempotent is read into p**r scalars, and no product of the
 algebra is formed after construction.  `orthogonality` decides its N(N-1)
-ordered products by two routes: the weight-space lemma for each pair of
-different weights, and one contraction of coordinates with the structure
-constants for each pair of the same weight (which also gives the squares
-that `idempotency` compares).  `sum-to-one` reads coordinates too: the
-beta_m of all weights nu are distinct basis elements Y^(m) delta_w X^(m),
-w = nu + 2m, and 1 = sum_nu beta_0, so the idempotents sum to 1 exactly
-when every weight mod q occurs and each weight's rows sum to beta_0.
-
-The same constants certify primitivity by Berlekamp's count ("Factoring
-polynomials over finite fields", Bell Syst. Tech. J., 1967), which needs
-B_nu to be commutative.  The product lemma is symmetric in a and b, so
-beta_a beta_b = beta_b beta_a, and Frob: x |-> x^p is F_p-linear on B_nu.
-dim ker(Frob - 1) is the number of local factors of B_nu, and rank Frob^r
-is dim B_nu / rad, because a nilpotent x in the p**r-dimensional B_nu has
-x^(p**r) = 0.  The weight-nu idempotents are nonzero, orthogonal and sum
-to mu_nu, the unit of B_nu.
-When both counts equal their number N_nu, each one is the unit of one
-local factor whose residue field is F_p, so it is primitive over the
-algebraic closure of F_p.  For p odd, or p = 2 with r < rprime,
-mu_nu A mu_nu = B_nu: a term Y^(m) f X^(m') survives between two copies of
-mu_nu only when 2(m' - m) = 0 mod q, and |m' - m| < p**r then forces
-m' = m.  So e A e = e B_nu and the idempotents are primitive in A.  For
-p = 2 with r = rprime, mu_nu A mu_nu has parts of degree +-q/2, and the
-label count from theory stays the certificate.
+ordered products by the weight-space lemma for each pair of different
+weights and by the characters for each pair of the same weight.  A row
+that is not Frobenius-fixed is not idempotent (x^2 = x gives x^p = x), and
+its products are not decided.  A non-primitive idempotent fails
+`label-count`.  `sum-to-one` reads coordinates too: the beta_m of all
+weights nu are distinct basis elements Y^(m) delta_w X^(m), w = nu + 2m,
+and 1 = sum_nu beta_0, so the idempotents sum to 1 exactly when every
+weight mod q occurs and each weight's rows sum to beta_0.
 
 `weight-projectors` rests on the *pointwise lemma*: torus-only elements
 multiply pointwise in evaluation form (two (0, 0) terms meet at i = 0
@@ -140,7 +153,8 @@ __all__ = [
     "CheckResult",
     "run_suite",
     "certify_decomposition",
-    "weight_space_products",
+    "weight_space_characters",
+    "weight_space_frobenius",
     "DEFAULT_SEED",
 ]
 
@@ -199,64 +213,58 @@ def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
     return _result("weight-projector-binomial-form", bad)
 
 
-def weight_space_products(
-    ctx: AlgebraCtx, coords: dict[int, np.ndarray]
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
-    """All products within each weight space, and its Frobenius matrix.
-
-    coords maps a weight nu to an (N, p**r) array whose rows are elements
-    of B_nu in the basis beta_m.  Returns prods with prods[nu][i, j] the
-    coordinates of x_i x_j, and frob with row a of frob[nu] those of
-    beta_a^p.  Left multiplication by each beta_a is built from the
-    product lemma (module docstring) and the Pascal table, one a at a time.
-    """
+def _product_lemma_slice(ctx: AlgebraCtx, nus: list[int], a: int) -> np.ndarray:
+    """t[k, b, c] = C(c,a) C(c,b) C(nu_k+a+b, a+b-c) for c <= a + b: the beta_c
+    coordinate of beta_a beta_b in B_(nus[k]), by the product lemma (module
+    docstring) and the Pascal table."""
     p, n, pas = ctx.p, ctx.xy_range, ctx.pascal
-    nus = sorted(coords)
-    prods = {nu: np.zeros((len(coords[nu]), len(coords[nu]), n), dtype=np.int64) for nu in nus}
-    frob = np.zeros((len(nus), n, n), dtype=np.int64)
     b, c = np.arange(n)[:, None], np.arange(n)
+    # The last factor is read only where C(c,a) C(c,b) != 0 mod p, which forces
+    # 0 <= a + b - c <= min(a, b) (and, by Lucas, is rare).
+    coef = pas[c, a] * pas[c, b] * (c <= a + b) % p
+    bs, cs = np.nonzero(coef)
     nu_col = np.array(nus, dtype=np.int64)[:, None]
+    t = np.zeros((len(nus), n, n), dtype=np.int64)
+    t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % ctx.q, a + bs - cs] % p
+    return t
+
+
+def weight_space_frobenius(ctx: AlgebraCtx, nus: list[int]) -> dict[int, np.ndarray]:
+    """The Frobenius matrix of each B_nu, nu in nus: row a holds the
+    coordinates of beta_a^p, by p - 1 left multiplications by beta_a."""
+    p, n = ctx.p, ctx.xy_range
+    frob = np.zeros((len(nus), n, n), dtype=np.int64)
     for a in range(n):
-        # t[k, b, c] = C(c,a) C(c,b) C(nu_k+a+b, a+b-c) for c <= a + b: the
-        # beta_c coordinate of beta_a beta_b in B_nu_k.  The last factor is
-        # read only where C(c,a) C(c,b) != 0 mod p, which forces
-        # 0 <= a + b - c <= min(a, b) (and, by Lucas, is rare).
-        # Exact in int64: every product and sum below is of entries below p
-        # and reduced mod p at once, so a sum of p**r products stays below
-        # p**r * p**2 <= 2**36 (p**r <= q <= 4096).
-        coef = pas[c, a] * pas[c, b] * (c <= a + b) % p
-        bs, cs = np.nonzero(coef)
-        t = np.zeros((len(nus), n, n), dtype=np.int64)
-        t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % ctx.q, a + bs - cs] % p
-        for k, nu in enumerate(nus):
-            x = coords[nu]
-            # x_i x_j = sum_a x_i[a] (beta_a x_j)
-            left = x @ t[k] % p
-            prods[nu] += x[:, a, None, None] * left
-            prods[nu] %= p
-        # beta_a^p by p - 1 left multiplications by beta_a, in every B_nu at once
+        t = _product_lemma_slice(ctx, nus, a)
         power = np.zeros((len(nus), 1, n), dtype=np.int64)
         power[:, 0, a] = 1
         for _ in range(p - 1):
+            # exact in int64: sums of p**r products of entries below p stay
+            # below p**r * p**2 <= 2**36 (p**r <= q <= 4096)
             power = power @ t % p
         frob[:, a] = power[:, 0]
-    return prods, dict(zip(nus, frob))
+    return dict(zip(nus, frob))
 
 
-def _rank(mat: np.ndarray, p: int) -> int:
-    basis = IdealBasis()
-    for row in mat.tolist():
-        basis.add_coords({c: v for c, v in enumerate(row) if v}, p)
-    return basis.dim
+def weight_space_characters(ctx: AlgebraCtx) -> dict[int, tuple[list[tuple[int, int]], np.ndarray]]:
+    """The characters of every B_nu, by the character lemma (module docstring).
 
-
-def _berlekamp_counts(frob: np.ndarray, ctx: AlgebraCtx) -> tuple[int, int]:
-    """(dim ker(Frob - 1), rank Frob^r) on B_nu, from its Frobenius matrix."""
-    p, n = ctx.p, ctx.xy_range
-    power = frob
-    for _ in range(ctx.r - 1):
-        power = power @ frob % p  # entries below p: sums below p**r * p**2
-    return n - _rank((frob - np.eye(n, dtype=np.int64)) % p, p), _rank(power, p)
+    Maps each weight nu to (pairs, chi): the pairs (mu, i) with mu < q,
+    v_i a basis vector of L(mu) and (mu - 2i) mod q = nu, and chi with
+    chi[k, m] = chi_(pairs[k])(beta_m) = C(mu'-i+m, m) C(i, m) mod p.
+    """
+    p, n, q, pas = ctx.p, ctx.xy_range, ctx.q, ctx.pascal
+    mu1, i = np.nonzero(pas[:n, :n])  # C(mu', i) != 0 mod p, so i <= mu'
+    m = np.arange(n)
+    # mu' - i + m <= mu' < q wherever C(i, m) != 0, that is for m <= i
+    chi = pas[i[:, None], m] * pas[((mu1 - i)[:, None] + m) % q, m] % p
+    by_nu: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
+    for k, (a, b) in enumerate(zip(mu1.tolist(), i.tolist())):
+        for mu in range(a, q, n):
+            pairs, rows = by_nu.setdefault((mu - 2 * b) % q, ([], []))
+            pairs.append((mu, b))
+            rows.append(k)
+    return {nu: (pairs, chi[rows]) for nu, (pairs, rows) in sorted(by_nu.items())}
 
 
 def certify_decomposition(
@@ -264,13 +272,14 @@ def certify_decomposition(
 ) -> list[CheckResult]:
     """The basic suite's certificate of a labeled family of idempotents.
 
-    Each element is read once (`weight_coords`); idempotency and
-    orthogonality are decided in the weight-space algebras B_nu (module
-    docstring), and so is their sum.  An element outside the weight-space
-    lemma's hypotheses fails those three and `weights`, named by its label.
-    No product or sum of elements is formed.  For p odd or r < rprime the
-    Berlekamp counts of every B_nu join the label count.  Raises ValueError
-    unless there is one element of ctx per label.
+    Each element is read once (`weight_coords`); idempotency, orthogonality
+    and primitivity are decided in the weight-space algebras B_nu by the
+    character lemma (module docstring), and so is their sum.  A
+    non-primitive idempotent fails the label count, named by its label.  An
+    element outside the weight-space lemma's hypotheses fails idempotency,
+    orthogonality, sum to one and `weights`, named by its label.  No product
+    or sum of elements is formed.  Raises ValueError unless there is one
+    element of ctx per label.
     """
     if len(labels) != len(elements):
         raise ValueError(f"{len(labels)} labels for {len(elements)} elements")
@@ -288,8 +297,8 @@ def certify_decomposition(
 
     # Weight-space lemma (module docstring): an element read into B_nu
     # satisfies e = mu_nu e mu_nu, so a pair of different weights has product
-    # e_i mu_nu mu_nu' e_j = 0 and is decided without forming it; only the
-    # products within each weight are computed, in coordinates.
+    # e_i mu_nu mu_nu' e_j = 0 and is decided without forming it; the pairs
+    # within each weight are decided by the character lemma.
     unread, bad_weight = [], []
     by_weight: dict[int, list[int]] = {}
     rows: dict[int, list[np.ndarray]] = {}
@@ -304,26 +313,24 @@ def certify_decomposition(
         by_weight.setdefault(nu, []).append(i)
         rows.setdefault(nu, []).append(x)
     coords = {nu: np.array(xs) for nu, xs in rows.items()}
-    # Berlekamp: see the module docstring for why p = 2 with r = rprime is left out
-    berlekamp = p % 2 or ctx.r < ctx.rprime
-    bad_idem, bad_orth = list(unread), list(unread)
-    prods, frob = weight_space_products(ctx, coords)
-    not_idem, not_orth = [], []
-    for nu, prod in prods.items():
+    frob = weight_space_frobenius(ctx, sorted(coords))
+    chars = weight_space_characters(ctx)
+    not_idem, unfixed, not_orth, not_primitive = [], [], [], []
+    for nu, x in coords.items():
         idx = by_weight[nu]
-        diag = np.arange(len(idx))
-        not_idem += [idx[k] for k in np.flatnonzero((prod[diag, diag] != coords[nu]).any(axis=1))]
-        nonzero = prod.any(axis=2)
-        nonzero[diag, diag] = False
-        not_orth += [(idx[k], idx[l]) for k, l in np.argwhere(nonzero)]
-    bad_idem += [f"{names[i]} not idempotent" for i in sorted(not_idem)]
+        fixed = (x @ frob[nu] % p == x).all(axis=1)
+        values = x @ chars[nu][1].T % p  # values[k, l] = chi_l(x_k)
+        idem = fixed & (values <= 1).all(axis=1)
+        hits = (values != 0) & fixed[:, None]  # a row that is not fixed decides nothing
+        meet = (hits[:, None] & hits).any(axis=2)
+        not_idem += [idx[k] for k in np.flatnonzero(~idem)]
+        unfixed += [idx[k] for k in np.flatnonzero(~fixed)]
+        not_orth += [(idx[k], idx[l]) for k, l in np.argwhere(meet) if k != l]
+        not_primitive += [idx[k] for k in np.flatnonzero(idem & (hits.sum(axis=1) != 1))]
+    bad_idem = unread + [f"{names[i]} not idempotent" for i in sorted(not_idem)]
+    bad_orth = unread + [f"{names[i]} not Frobenius-fixed, products not decided" for i in sorted(unfixed)]
     bad_orth += [f"{names[i]} * {names[j]} != 0" for i, j in sorted(not_orth)]
-    if berlekamp:
-        for nu, f in frob.items():
-            ker, rank = _berlekamp_counts(f, ctx)
-            count = len(by_weight[nu])
-            if ker != count or rank != count:
-                bad_count.append(f"weight {nu}: {count} idempotents, ker {ker}, rank {rank}")
+    bad_count += [f"{names[i]} not primitive" for i in sorted(not_primitive)]
 
     # sum to one in coordinates (module docstring): each weight's rows sum to beta_0
     beta_0 = np.eye(1, ctx.xy_range, dtype=np.int64)[0]

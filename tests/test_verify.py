@@ -1,8 +1,9 @@
 """The basic suite's certificate in the weight-space algebras B_nu.
 
-The coordinate route (structure constants, contraction, Frobenius matrix)
-is checked against `HyperElem` products, and the certificate is run on
-broken families, which must fail with the label that broke them.
+The coordinate route (product-lemma slices, Frobenius matrix, characters)
+is checked against `HyperElem` products and the Weyl-module action, and the
+certificate is run on broken families, which must fail with the label that
+broke them.
 """
 
 import random
@@ -20,8 +21,13 @@ from sl2hyper.idempotents import (
     tuple_idempotent,
     weight_projector,
 )
-from sl2hyper.pims import predicted_weight
-from sl2hyper.verify import certify_decomposition, weight_coords, weight_space_products
+from sl2hyper.pims import pim_label_closed_form, predicted_weight, weyl_action
+from sl2hyper.verify import (
+    certify_decomposition,
+    weight_coords,
+    weight_space_characters,
+    weight_space_frobenius,
+)
 
 ORACLE_CTXS = [(2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2)]
 
@@ -54,21 +60,36 @@ def results(ctx, labels, elements):
     return {c.name: c for c in certify_decomposition(ctx, labels, elements)}
 
 
+def same_weight_pair(es):
+    # the first two indices whose elements share a weight
+    nus = [weight_coords(e)[0] for e in es]
+    i = next(k for k in range(len(es)) if nus.count(nus[k]) > 1)
+    return i, next(k for k in range(i + 1, len(es)) if nus[k] == nus[i])
+
+
 @pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS)
 def test_coordinate_products_match_hyperelem_products(p, r, rprime):
     # random elements of B_nu, unlike the idempotents, whose products are
-    # mostly 0 or e_i and so miss index errors in the contraction
+    # mostly 0 or e_i: each character of a kernel product u * v is
+    # chi(u) chi(v), and x Frob gives the kernel's p-th power of x
     ctx = AlgebraCtx(p, r, rprime)
+    chars = weight_space_characters(ctx)
+    frob = weight_space_frobenius(ctx, list(range(ctx.q)))
     vec = st.lists(st.integers(0, p - 1), min_size=ctx.xy_range, max_size=ctx.xy_range)
 
     @settings(derandomize=True, max_examples=20, deadline=None, database=None)
     @given(st.integers(0, ctx.q - 1), st.lists(vec, min_size=2, max_size=3))
     def check(nu, xs):
-        prods, _ = weight_space_products(ctx, {nu: np.array(xs, dtype=np.int64)})
+        chi = chars[nu][1]
+        xs = np.array(xs, dtype=np.int64)
         elems = [elem_from_coords(nu, x, ctx) for x in xs]
-        for i, u in enumerate(elems):
-            for j, v in enumerate(elems):
-                assert np.array_equal(prods[nu][i, j], coords_of(u * v, nu, ctx))
+        for x, u in zip(xs, elems):
+            power = u
+            for _ in range(p - 1):
+                power = power * u
+            assert np.array_equal(x @ frob[nu] % p, coords_of(power, nu, ctx))
+            for y, v in zip(xs, elems):
+                assert np.array_equal(chi @ coords_of(u * v, nu, ctx) % p, (chi @ x) * (chi @ y) % p)
 
     check()
 
@@ -81,13 +102,13 @@ def test_product_lemma_matches_kernel_products(p, r, rprime):
     # is the beta_c coordinate of beta_a beta_b in every B_nu
     ctx = AlgebraCtx(p, r, rprime)
     n, q = ctx.xy_range, ctx.q
-    # with the beta_a as coordinates, prods[nu][a, b] is beta_a beta_b
-    prods, _ = weight_space_products(ctx, {nu: np.eye(n, dtype=np.int64) for nu in range(q)})
     at = (np.arange(q)[:, None] + 2 * np.arange(n)) % q
     yx = [pbw_elem(a, 0, a, ctx) for a in range(n)]
     for a in range(n):
+        # t[nu, b] holds the coordinates of beta_a beta_b in B_nu
+        t = verify._product_lemma_slice(ctx, list(range(q)), a)
         for b in range(n):
-            want = np.array([prods[nu][a, b] for nu in range(q)])
+            want = t[:, b]
             for u in (yx[a] * yx[b], yx[b] * yx[a]):
                 g = np.zeros((n, q), dtype=np.int64)
                 for (c, cp), f in u.terms.items():
@@ -100,8 +121,7 @@ def test_product_lemma_matches_kernel_products(p, r, rprime):
 def test_frobenius_rows_are_pth_powers(p, r, rprime):
     ctx = AlgebraCtx(p, r, rprime)
     nus = list(range(ctx.q))
-    coords = {nu: np.eye(ctx.xy_range, dtype=np.int64) for nu in nus}
-    _, frob = weight_space_products(ctx, coords)
+    frob = weight_space_frobenius(ctx, nus)
     for nu in nus:
         for a in range(ctx.xy_range):
             beta = elem_from_coords(nu, np.eye(ctx.xy_range, dtype=np.int64)[a], ctx)
@@ -113,18 +133,76 @@ def test_frobenius_rows_are_pth_powers(p, r, rprime):
 
 @pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (5, 2, 2)])
 def test_same_weight_idempotent_products_match_hyperelem_products(p, r, rprime):
+    # the certificate reads e_i e_j from characters: each chi of the kernel
+    # product is chi(e_i) chi(e_j), and the product is 0 exactly when no chi
+    # is nonzero on both (character lemma)
     ctx = AlgebraCtx(p, r, rprime)
+    chars = weight_space_characters(ctx)
     _, es = family(ctx)
     groups: dict[int, list] = {}
     for e in es:
         nu, x = weight_coords(e)
         groups.setdefault(nu, []).append((e, x))
-    coords = {nu: np.array([x for _, x in g]) for nu, g in groups.items()}
-    prods, _ = weight_space_products(ctx, coords)
     for nu, g in groups.items():
-        for i, (ei, _) in enumerate(g):
-            for j, (ej, _) in enumerate(g):
-                assert np.array_equal(prods[nu][i, j], coords_of(ei * ej, nu, ctx))
+        chi = chars[nu][1]
+        for ei, xi in g:
+            for ej, xj in g:
+                prod = coords_of(ei * ej, nu, ctx)
+                want = (chi @ xi) * (chi @ xj) % p
+                assert np.array_equal(chi @ prod % p, want)
+                assert prod.any() == want.any()
+
+
+@pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS + [(2, 2, 2), (2, 3, 3)])
+def test_characters_are_homomorphisms(p, r, rprime):
+    # chi(beta_a) chi(beta_b) = sum_c t[a, b, c] chi(beta_c) for every character
+    # of every B_nu, with t the product lemma's structure constants
+    ctx = AlgebraCtx(p, r, rprime)
+    nus = list(range(ctx.q))
+    chars = weight_space_characters(ctx)
+    assert sorted(chars) == nus
+    for a in range(ctx.xy_range):
+        t = verify._product_lemma_slice(ctx, nus, a)
+        for nu in nus:
+            chi = chars[nu][1]
+            assert np.array_equal(chi[:, [a]] * chi % p, chi @ t[nu].T % p), (nu, a)
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (3, 2, 3), (5, 2, 2)])
+def test_characters_match_the_weyl_action(p, r, rprime):
+    # beta_m acts on v_i of the Weyl module V(mu) as chi_(mu,i)(beta_m) times
+    # v_i (by Lucas, C(mu-i+m, m) = C(mu'-i+m, m) mod p for m <= i), and each
+    # basis vector of each L(mu) gives one pair (Steinberg: dim L(mu') is the
+    # number of i with C(mu', i) != 0 mod p)
+    ctx = AlgebraCtx(p, r, rprime)
+    n = ctx.xy_range
+    chars = weight_space_characters(ctx)
+    every = [pair for pairs, _ in chars.values() for pair in pairs]
+    assert len(every) == len(set(every)) == len(enumerate_labels(ctx))
+    for nu, (pairs, chi) in chars.items():
+        for m in range(n):
+            beta = elem_from_coords(nu, np.eye(n, dtype=np.int64)[m], ctx)
+            for (mu, i), value in zip(pairs, chi[:, m]):
+                assert (mu - 2 * i) % ctx.q == nu
+                col = weyl_action(beta, mu)[:, i]
+                assert col[i] == value, (nu, m, mu, i)
+                assert not np.delete(col, i).any(), (nu, m, mu, i)
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 3, 4), (3, 2, 3), (5, 2, 2)])
+def test_each_idempotent_hits_the_pair_of_its_projective_cover(p, r, rprime):
+    # the row of X Chi^T of each true idempotent is one 1, at a pair (mu, i)
+    # with mu = lambda' + p**r lambda'' from pim_label_closed_form
+    ctx = AlgebraCtx(p, r, rprime)
+    chars = weight_space_characters(ctx)
+    for lb, e in zip(*family(ctx)):
+        nu, x = weight_coords(e)
+        pairs, chi = chars[nu]
+        values = chi @ x % p
+        assert sorted(values.tolist()) == [0] * (len(pairs) - 1) + [1], format_label(lb)
+        pl = pim_label_closed_form(lb, ctx)
+        mu = pairs[int(np.argmax(values))][0]
+        assert mu == pl.lambda_prime + ctx.xy_range * pl.lambda_double_prime, format_label(lb)
 
 
 def test_weight_coords_reads_idempotents():
@@ -195,23 +273,32 @@ def test_scaled_idempotent_fails_idempotency_by_label():
     assert res["orthogonality"].passed
 
 
-def test_merged_idempotents_fail_the_berlekamp_count():
-    # e_i + e_j of one weight is an idempotent orthogonal to the rest, but
-    # not primitive: B_nu has one more local factor than the family has members
+def test_added_idempotent_fails_orthogonality_by_pair():
+    # x_i + x_j is idempotent and meets x_j: both products are named
     ctx = AlgebraCtx(3, 2, 3)
     labels, es = family(ctx)
-    nus = [weight_coords(e)[0] for e in es]
-    i = 0
-    j = next(k for k in range(1, len(es)) if nus[k] == nus[i])
-    count = nus.count(nus[i])
-    es[i] = es[i] + es.pop(j)
-    labels.pop(j)
+    i, j = same_weight_pair(es)
+    es[i] = es[i] + es[j]
     res = results(ctx, labels, es)
-    assert res["idempotency"].passed and res["orthogonality"].passed
-    assert res["sum-to-one"].passed
-    assert not res["label-count"].passed
-    want = f"weight {nus[i]}: {count - 1} idempotents, ker {count}, rank {count}"
-    assert want in res["label-count"].detail.split("; ")
+    a, b = format_label(labels[i]), format_label(labels[j])
+    assert res["idempotency"].passed
+    assert res["orthogonality"].detail == f"{a} * {b} != 0; {b} * {a} != 0"
+    assert res["label-count"].detail == f"{a} not primitive"
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (3, 2, 3), (5, 2, 2)])
+def test_row_off_the_frobenius_fixed_space_leaves_its_products_undecided(p, r, rprime):
+    # x_0 + beta_(p**r - 1) of the same weight is not Frobenius-fixed: it
+    # is not idempotent, and its products cannot be read from characters
+    ctx = AlgebraCtx(p, r, rprime)
+    labels, es = family(ctx)
+    nu, x = weight_coords(es[0])
+    x[-1] = (x[-1] + 1) % p
+    es[0] = elem_from_coords(nu, x, ctx)
+    res = results(ctx, labels, es)
+    name = format_label(labels[0])
+    assert res["idempotency"].detail == f"{name} not idempotent"
+    assert res["orthogonality"].detail == f"{name} not Frobenius-fixed, products not decided"
 
 
 def test_foreign_term_fails_both_checks_by_label():
@@ -335,25 +422,19 @@ def test_rand_elem_matches_the_sum_of_its_terms(p, r, rprime):
 
 
 @pytest.mark.parametrize(
-    "p, r, rprime, counted",
-    [
-        (2, 2, 2, False),
-        (2, 1, 1, False),
-        (2, 2, 3, True),
-        (2, 1, 2, True),
-        (3, 2, 2, True),
-        (3, 1, 2, True),
-    ],
+    "p, r, rprime", [(2, 2, 2), (2, 1, 1), (2, 2, 3), (2, 1, 2), (3, 2, 2), (3, 1, 2), (3, 2, 3)]
 )
-def test_berlekamp_counts_certify_exactly_when_p_odd_or_r_below_rprime(p, r, rprime, counted):
-    # merge two same-weight idempotents: the Berlekamp count sees it wherever
-    # it is part of the certificate (the theory count sees the shorter list)
+def test_merged_pair_fails_label_count_by_label(p, r, rprime):
+    # e_i + e_j of one weight is an idempotent orthogonal to the rest, but
+    # not primitive: two characters are 1 on it.  The character lemma names
+    # it at every p, p = 2 with r = rprime included.
     ctx = AlgebraCtx(p, r, rprime)
     labels, es = family(ctx)
-    nus = [weight_coords(e)[0] for e in es]
-    i = next(k for k in range(len(es)) if nus.count(nus[k]) > 1)
-    j = next(k for k in range(i + 1, len(es)) if nus[k] == nus[i])
+    i, j = same_weight_pair(es)
     es[i] = es[i] + es.pop(j)
     labels.pop(j)
-    detail = results(ctx, labels, es)["label-count"].detail
-    assert ("ker" in detail) is counted
+    res = results(ctx, labels, es)
+    assert [c for c, r in res.items() if not r.passed] == ["label-count"]
+    n = len(labels)
+    want = f"{n} labels, simple-dimension sum {n + 1}; {format_label(labels[i])} not primitive"
+    assert res["label-count"].detail == want
