@@ -19,7 +19,9 @@ recovered through the unitriangular Pascal matrix C(w, n), used only by
 `left_ideal_span`, verify's split-product rank) and verify's round trips.
 
 `left_weight` is the package's one reader of torus weights, from supports;
-`weight_coords` reads an element of B_nu (`verify`) into coordinates by it.
+`weight_coords` reads an element of B_nu (`verify`) into coordinates by it,
+and `from_weight_coords`, its inverse, builds the element of B_nu with given
+coordinates as one block (`idempotents` builds every idempotent by it).
 
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p in one pass.  The block sits in a read-only bytes buffer that cannot be
@@ -73,6 +75,7 @@ __all__ = [
     "degree_decompose",
     "left_weight",
     "weight_coords",
+    "from_weight_coords",
     "weightfn_to_coeffs",
     "coeffs_to_weightfn",
     "fr",
@@ -399,6 +402,23 @@ def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
     x = np.zeros(e.ctx.xy_range, dtype=np.int64)
     x[[m for m, _ in e.terms]] = c
     return nu, x
+
+
+def from_weight_coords(ctx: AlgebraCtx, nu: int, x) -> HyperElem:
+    """The element sum_m x[m] beta_m of B_nu, where beta_m = Y^(m) delta_(nu+2m)
+    X^(m): the inverse of `weight_coords`.  x has length p**r and is read mod
+    p; an all-zero x gives `zero(ctx)`.  Raises ValueError for another length
+    of x or nu outside 0..q-1."""
+    x = np.asarray(x, dtype=np.int64)
+    if x.shape != (ctx.xy_range,):
+        raise ValueError(f"coordinate vector must have length {ctx.xy_range}")
+    if not 0 <= nu < ctx.q:
+        raise ValueError(f"weight {nu} out of range 0..{ctx.q - 1}")
+    x = x % ctx.p
+    ms = np.flatnonzero(x)
+    block = np.zeros((len(ms), ctx.q), dtype=np.int64)
+    block[np.arange(len(ms)), (nu + 2 * ms) % ctx.q] = x[ms]
+    return _from_block(ctx, [(m, m) for m in ms.tolist()], block)
 
 
 def weightfn_to_coeffs(f: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:

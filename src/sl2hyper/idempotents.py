@@ -12,9 +12,13 @@ case-dependent operator that sandwiches the exponent-multiplying splitting
 of the Frobenius map between window elements; iterating it over a tuple of
 pairs, and cutting by a torus block projector when the torus range exceeds
 the divided-power range, yields the complete family of pairwise orthogonal
-primitive idempotents summing to 1.  The inner part of that iteration
-depends only on a label's trailing pairs, so each distinct suffix is lifted
-once and shared by every label that ends with it.
+primitive idempotents summing to 1.  The *tensor lemma* (`tuple_idempotent`)
+gives that iteration's result in closed form: in the weight-space algebra
+B_nu its coordinates are the Kronecker product of the pairs' level-1
+coordinates, and nu follows from the pairs' digits.  So each idempotent is
+built as one block from its coordinates, with no product of the algebra;
+`z_operator`, `embed` and the block projector stay public, and the tests
+keep their chain as the oracle of the construction.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import numpy as np
 from .algebra import (
     AlgebraCtx,
     HyperElem,
-    embed,
     fr_prime,
+    from_weight_coords,
     gen_x,
     gen_y,
     one,
@@ -329,37 +333,82 @@ def z_operator(z: HyperElem, pair: PairAJ) -> HyperElem:
 
 
 @functools.lru_cache(maxsize=None)
-def _lifted_chain(pairs: tuple[PairAJ, ...], p: int) -> HyperElem:
-    # the chain over pairs, in AlgebraCtx(p, k, k) with k = len(pairs);
-    # cached per suffix by the suffix lemma (see tuple_idempotent)
-    if len(pairs) == 1:
-        return level1_idempotent(pairs[0], AlgebraCtx(p, 1, 1))
-    return z_operator(_lifted_chain(pairs[1:], p), pairs[0])
+def _level1_coords(pair: PairAJ, p: int) -> np.ndarray:
+    # w[m] = c_m (m!)**2 mod p: the B_a coordinates of the level-1 idempotent
+    # (see `yx_expansion`); shared by every label, so read-only
+    w = np.zeros(p, dtype=np.int64)
+    for m, cm in enumerate(yx_coeff_table(pair, p)):
+        w[m] = cm * factorial_mod_p(m, p) ** 2 % p
+    w.setflags(write=False)
+    return w
 
 
 @functools.lru_cache(maxsize=None)
 def tuple_idempotent(label: TupleLabel, ctx: AlgebraCtx) -> HyperElem:
     """The primitive idempotent of a full label in the given context.
 
-    Built by recursion in the minimal context chain (pairs[0] is applied
-    last, i.e. it is the least-significant digit), embedded once at the
-    end, and cut by the torus block projector when the label carries one.
+    The construction starts from the level-1 idempotent of pairs[-1],
+    applies `z_operator` for pairs[-2], ..., pairs[0] in the minimal
+    contexts AlgebraCtx(p, k, k) (so pairs[0] is the least-significant
+    digit), embeds the result in ctx, and cuts it by
+    `upper_block_projector(aprime)` when the label carries one.  It is
+    built here in closed form by the tensor lemma, with no product.
 
-    Suffix lemma: the value after the pairs pairs[k:] have been applied
-    depends only on (pairs[k:], p); it is computed in
-    AlgebraCtx(p, r - k, r - k) and reads neither ctx nor aprime.  So the
-    chain is cached per suffix, and each distinct suffix is lifted once:
-    all labels of a context cost sum_{k=2..r} N**k calls of `z_operator`
-    for N index pairs, not (r - 1) N**r.
+    Tensor lemma.  For a pair pi let w_pi[j] = c_j (j!)**2 mod p, j < p,
+    with c = yx_coeff_table(pi, p): the B_a coordinates of
+    level1_idempotent(pi) (`yx_expansion`).  The label
+    (pi_0, ..., pi_(r-1); a') gives sum_m x_m beta_m in B_nu
+    (`algebra.weight_coords`), where
+
+        x_m = prod_k w_(pi_k)[m_k]   over the base-p digits m_k of m,
+        nu = (sum_k b_k p**k mod p**r) + p**r a',
+
+    with b_k = a_k - p in cases A/C and b_k = a_k in cases B/D.  So x is
+    the Kronecker product w_(pi_(r-1)) (x) ... (x) w_(pi_0).
+
+    Proof, by induction on the chain.  The level-1 idempotent of pi is
+    sum_j w_pi[j] beta_j in B_a, and a = a - p mod p.  Let
+    z = sum_n x_n beta_n lie in B_nu of AlgebraCtx(p, k, k), and lift it by
+    pi = (a, 2j):
+
+    * fr_prime(z) = sum_(t<p) sum_n x_n beta_(pn) in B_(p nu + t), since
+      fr_prime reads each torus factor at w // p.
+    * Cases B/D multiply by the level-1 idempotent, which is
+      sum_j w_pi[j] beta_j in every B_nu' with nu' = a mod p.  Different
+      weights multiply to 0, so mu_a keeps t = a.  For j < p the product
+      lemma (`verify`) gives beta_(pn) beta_j = beta_(pn+j): by Lucas,
+      C(c, pn) C(c, j) != 0 with pn <= c <= pn + j forces c = pn + j.
+      So x becomes x (x) w_pi, and b = a.
+    * Cases A/C form window * beta_(pn) * X^s, with the window
+      mu_a sum_m c_m Y^m X^(m-s).  In X^(m-s) Y^(pn), only the i = 0 term
+      of sum_i Y^(pn-i) C(H-m+s-pn+2i, i) X^(m-s-i) survives: for
+      1 <= i <= m - s, Y^(m) Y^(pn-i) carries in the lowest base-p digit
+      (m + p - i >= p), so Kummer makes its coefficient C(m+pn-i, m) zero.
+      At i = 0, Lucas gives C(m+pn, m) = 1 and
+      C(m-s+pn, m-s) C(pn+m, s) = C(m, s), so with the ordinary powers the
+      coefficient of beta_(pn+m) in B_(p nu + t - 2s) is
+      c_m m! (m-s)! s! C(m, s) = c_m (m!)**2.  mu_a keeps the one t with
+      t - 2s = a mod p; as a + 2s is p or p + 1 (`recursion_shift`),
+      t - 2s = a - p.  So x becomes x (x) w_pi, and b = a - p.
+    * `embed` repeats each torus factor over the weights w = nu + 2m mod
+      p**r, and the block projector keeps those with (w - 2m) // p**r = a'.
+      Both keep x and move nu to (nu mod p**r) + p**r a'.
+
+    The tests keep that chain as the oracle of this construction.
     """
     if len(label.pairs) != ctx.r:
         raise ValueError(f"label has {len(label.pairs)} pairs, context needs {ctx.r}")
     if (label.aprime is None) != (ctx.rprime == ctx.r):
         raise ValueError("aprime must be present exactly when rprime > r")
-    e = embed(_lifted_chain(label.pairs, ctx.p), ctx)
-    if label.aprime is not None:
-        e = e * upper_block_projector(label.aprime, ctx)
-    return e
+    p, ps = ctx.p, ctx.xy_range
+    # x = w_(pi_(r-1)) (x) ... (x) w_(pi_0); for vectors, np.kron(u, v) is
+    # np.outer(u, v).ravel(), without kron's general-shape overhead
+    x = _level1_coords(label.pairs[0], p)
+    for pair in label.pairs[1:]:
+        x = np.outer(_level1_coords(pair, p), x).ravel() % p
+    b = [pr.a - p if pr.case in ("A", "C") else pr.a for pr in label.pairs]
+    nu = sum(bk * p**k for k, bk in enumerate(b)) % ps + ps * (label.aprime or 0)
+    return from_weight_coords(ctx, nu, x)
 
 
 def enumerate_labels(ctx: AlgebraCtx) -> list[TupleLabel]:

@@ -82,6 +82,14 @@ alone, with coefficient 1 and no shift).  So a 0/1 factor is idempotent,
 factors are orthogonal exactly when their supports are disjoint (p is
 prime), and factors that partition Z/q sum to 1.
 
+`weight-projector-binomial-form` rests on the *periodicity lemma*: for
+k < p**s, C(z, k) mod p depends only on z mod p**s, for every integer z.
+By Vandermonde, C(z + p**s, k) = sum_j C(p**s, j) C(z, k - j), an identity
+of polynomials in z, and C(p**s, j) = 0 mod p for 0 < j < p**s (Lucas);
+`modp.binom_mod_p` evaluates that polynomial, through the reflection
+C(z, k) = (-1)**k C(k - z - 1, k) for z < 0.  So each depth s needs one
+row of p**s binomials, not one per weight and projector.
+
 Each check returns a CheckResult; nothing here prints or exits.
 """
 
@@ -198,16 +206,17 @@ def _check_mu_projectors(ctx: AlgebraCtx) -> CheckResult:
 
 
 def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
-    # indicator construction must agree with C(w - a - 1, p^s - 1)
+    # indicator construction must agree with C(w - a - 1, p^s - 1); by the
+    # periodicity lemma (module docstring) that is one row of p**s binomials,
+    # C(n - 1, p^s - 1) for n < p**s, read at n = (w - a) mod p**s
+    p, w = ctx.p, np.arange(ctx.q)
     bad = []
     for s in range(1, ctx.rprime + 1):
-        ps = ctx.p**s
+        ps = p**s
+        row = np.array([binom_mod_p(n - 1, ps - 1, p) for n in range(ps)], dtype=np.int64)
         for a in range(ps):
             mu = weight_projector(a, s, ctx).terms.get((0, 0))
-            formula = np.array(
-                [binom_mod_p(w - a - 1, ps - 1, ctx.p) for w in range(ctx.q)],
-                dtype=np.int64,
-            )
+            formula = row[(w - a) % ps]
             if mu is None or not np.array_equal(mu, formula):
                 bad.append(f"projector ({a}, depth {s}) != binomial formula")
     return _result("weight-projector-binomial-form", bad)
@@ -235,12 +244,14 @@ def weight_space_frobenius(ctx: AlgebraCtx, nus: list[int]) -> dict[int, np.ndar
     p, n = ctx.p, ctx.xy_range
     frob = np.zeros((len(nus), n, n), dtype=np.int64)
     for a in range(n):
-        t = _product_lemma_slice(ctx, nus, a)
-        power = np.zeros((len(nus), 1, n), dtype=np.int64)
+        # float64, because numpy sends float64 products to BLAS and int64 ones
+        # to its own loop.  Exact: every entry is an integer below p, so a sum
+        # of p**r products stays below p**r * p**2 <= 2**36 < 2**53
+        # (p**r <= q <= 4096), and % p of such a float is exact.
+        t = _product_lemma_slice(ctx, nus, a).astype(np.float64)
+        power = np.zeros((len(nus), 1, n), dtype=np.float64)
         power[:, 0, a] = 1
         for _ in range(p - 1):
-            # exact in int64: sums of p**r products of entries below p stay
-            # below p**r * p**2 <= 2**36 (p**r <= q <= 4096)
             power = power @ t % p
         frob[:, a] = power[:, 0]
     return dict(zip(nus, frob))

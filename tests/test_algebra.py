@@ -18,6 +18,7 @@ from sl2hyper.algebra import (
     format_element,
     fr,
     fr_prime,
+    from_weight_coords,
     gen_h_binom,
     gen_x,
     gen_y,
@@ -649,3 +650,40 @@ def test_frobenius_by_lucas_slicing(elems):
     assert fr(u) == fr_via_coeffs(u)
     assert fr(v) == fr_via_coeffs(v)
     assert fr(u * v) == fr(u) * fr(v)
+
+
+@st.composite
+def weight_coords_case(draw, ctx):
+    # a weight and p**r coordinates, not reduced mod p and often zero
+    nu = draw(st.integers(0, ctx.q - 1))
+    coord = st.one_of(st.just(0), st.integers(-2 * ctx.p, 2 * ctx.p))
+    return ctx, nu, draw(st.lists(coord, min_size=ctx.xy_range, max_size=ctx.xy_range))
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_CTXS).flatmap(weight_coords_case))
+def test_from_weight_coords_inverts_weight_coords(case):
+    ctx, nu, coords = case
+    x = np.array(coords, dtype=np.int64) % ctx.p
+    e = from_weight_coords(ctx, nu, coords)
+    # sum_m x[m] Y^(m) delta_(nu+2m) X^(m), through the checked mapping path
+    delta = np.eye(ctx.q, dtype=np.int64)
+    assert e == HyperElem(ctx, {(m, m): x[m] * delta[(nu + 2 * m) % ctx.q] for m in range(len(x))})
+    if not x.any():
+        assert e is zero(ctx)
+        return
+    got_nu, got_x = weight_coords(e)
+    assert got_nu == nu and got_x.tolist() == x.tolist()
+    assert from_weight_coords(ctx, got_nu, got_x) == e
+
+
+def test_from_weight_coords_zero_and_errors():
+    ctx = AlgebraCtx(3, 2, 3)
+    assert from_weight_coords(ctx, 5, np.zeros(9, dtype=np.int64)) is zero(ctx)
+    assert from_weight_coords(ctx, 5, [3, 6, 0, 0, 0, 0, 0, 0, -9]) is zero(ctx)
+    for bad in ([1] * 8, [1] * 10, [[1] * 9]):
+        with pytest.raises(ValueError, match="length 9"):
+            from_weight_coords(ctx, 0, bad)
+    for nu in (-1, 27, 28):
+        with pytest.raises(ValueError, match="out of range 0..26"):
+            from_weight_coords(ctx, nu, [1] * 9)

@@ -5,7 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sl2hyper.idempotents as idempotents
-from sl2hyper.algebra import AlgebraCtx, embed, gen_x, gen_y, one, pbw_elem, zero
+from sl2hyper.algebra import (
+    AlgebraCtx,
+    HyperElem,
+    embed,
+    gen_x,
+    gen_y,
+    one,
+    pbw_elem,
+    weight_coords,
+    zero,
+)
 from sl2hyper.idempotents import (
     LabelError,
     TupleLabel,
@@ -317,8 +327,8 @@ def test_tuple_weight_fixed_point():
 
 
 def direct_loop(label, ctx):
-    # the per-label construction: level 1, then z_operator pair by pair in
-    # the minimal contexts, then embed and cut by the block projector
+    # the paper's chain: level 1, then z_operator pair by pair in the
+    # minimal contexts, then embed and cut by the block projector
     e = level1_idempotent(label.pairs[-1], AlgebraCtx(ctx.p, 1, 1))
     for pair in label.pairs[-2::-1]:
         e = z_operator(e, pair)
@@ -328,30 +338,50 @@ def direct_loop(label, ctx):
     return e
 
 
-@pytest.mark.parametrize("p, r, rp", [(2, 3, 3), (3, 3, 3), (3, 2, 3), (2, 2, 4), (5, 2, 2)])
+@pytest.mark.parametrize(
+    "p, r, rp",
+    [(2, 3, 3), (3, 3, 3), (3, 2, 3), (2, 2, 4), (5, 2, 2), (2, 1, 3), (3, 1, 2), (2, 4, 5), (7, 2, 2)],
+)
 def test_shared_suffix_lift_matches_direct_loop(p, r, rp):
+    # the tensor lemma (tuple_idempotent) against the chain it replaces; the
+    # contexts with rprime > r and a negative digit sum, such as (3,2,3),
+    # catch a' added before the digit sum is reduced mod p**r
     ctx = AlgebraCtx(p, r, rp)
     for label in enumerate_labels(ctx):
         assert tuple_idempotent(label, ctx) == direct_loop(label, ctx), format_label(label)
 
 
-def test_lift_work_count(monkeypatch):
-    # every suffix of length k >= 2 is lifted once: 6**2 + 6**3 calls at
-    # (3,3,3), where one lift per label and level would take 2 * 6**3
-    calls = []
-    inner = idempotents.z_operator
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_level1_coords_are_the_level1_idempotent(p):
+    # w_pi[m] = c_m (m!)**2 is the B_a coordinate vector of the level-1 idempotent
+    ctx = AlgebraCtx(p, 1, 1)
+    for pr in all_pairs(p):
+        nu, x = weight_coords(level1_idempotent(pr, ctx))
+        assert nu == pr.a
+        assert idempotents._level1_coords(pr, p).tolist() == x.tolist()
 
-    def counting(z, pair):
-        calls.append(pair)
-        return inner(z, pair)
 
-    monkeypatch.setattr(idempotents, "z_operator", counting)
+def test_construction_forms_no_product(monkeypatch):
+    # by the tensor lemma every idempotent is built from coordinates: from
+    # cold caches, no HyperElem product, z_operator or fr_prime
+    calls = {"mul": 0, "z_operator": 0, "fr_prime": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(HyperElem, "__mul__", counting("mul", HyperElem.__mul__))
+    for name in ("z_operator", "fr_prime"):
+        monkeypatch.setattr(idempotents, name, counting(name, getattr(idempotents, name)))
     tuple_idempotent.cache_clear()
-    idempotents._lifted_chain.cache_clear()
-    ctx = AlgebraCtx(3, 3, 3)
-    for label in enumerate_labels(ctx):
-        tuple_idempotent(label, ctx)
-    assert len(calls) == 36 + 216 == 252
+    idempotents._level1_coords.cache_clear()
+    for ctx in (AlgebraCtx(3, 3, 3), AlgebraCtx(2, 2, 4)):
+        for label in enumerate_labels(ctx):
+            assert not tuple_idempotent(label, ctx).is_zero()
+    assert calls == {"mul": 0, "z_operator": 0, "fr_prime": 0}
 
 
 def test_tuple_validation():

@@ -102,3 +102,13 @@ def test_factorial():
     assert factorial_mod_p(3, 5) == 1
     with pytest.raises(ValueError):
         factorial_mod_p(5, 5)
+
+
+@pytest.mark.parametrize("p, depth", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_periodicity_lemma(p, depth):
+    # for k < p**s, C(z, k) mod p depends only on z mod p**s, for negative z too
+    for s in range(1, depth + 1):
+        ps = p**s
+        for k in range(ps):
+            row = [binom_mod_p(n, k, p) for n in range(ps)]
+            assert [binom_mod_p(z, k, p) for z in range(-2 * ps, 2 * ps)] == row * 4
