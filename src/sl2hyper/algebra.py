@@ -28,26 +28,37 @@ p in one pass.  The block sits in a read-only bytes buffer that cannot be
 made writeable again, so a shared (cached) element cannot be changed
 through its arrays.  The element keeps the block itself (`_block`) as well
 as the row views in `terms`.  One finishing step, `_finish`, drops the
-zero rows and freezes the block.  A mapping passed to `HyperElem` reaches
-it through `_canon`, which checks each key and vector and stacks them; a
-product, a scalar multiple, a negation, `fr`, `fr_prime` and `embed` form
-their result's block in key order from their operands' blocks and hand it
-over directly.  `element_to_json` reads the block with one `tolist`.
+zero rows and freezes the block; for a batch of products it freezes them
+all at once and splits the result by product.  A mapping passed to
+`HyperElem` reaches it through `_canon`, which checks each key and vector
+and stacks them; a product, a scalar multiple, a negation, `fr`,
+`fr_prime`, `embed` and the constructors `one`, `gen_x`, `gen_y` and
+`pbw_elem` form their result's block in key order and hand it over
+directly.  `element_to_json` reads the block with one `tolist`.
 
 A (term pair, i) contribution has coefficient C(m1+m2-i, m1) C(m1'+m2'-i, m2')
 mod p.  Once m1 + (m2 - i) reaches p**r the base-p addition carries, and
 Kummer gives C(m1+m2-i, m1) = 0; likewise for the primed pair.  So i starts
 at max(0, m1 + m2 - p**r + 1, m1' + m2' - p**r + 1), the *Kummer bound*.
 
-Multiplication is one batched kernel per product.  The (term pair, i)
-contributions with k != 0 mod p are collected as plain integer lists:
-shifts, row offsets, i, k and the output key.  Every middle factor is then
-formed at once by fancy-index gathers from the two operands' blocks and
-the Pascal table at the indices (w + s) % q, reduced mod p, and added row
-by row into its output key.  No other table is cached.  A term pair whose
-shifted supports are disjoint needs no test: its contributions are zero
-rows, and an output key that gets nothing else is a zero row, which
-`_finish` drops.
+Multiplication is one batched kernel, `products`, and `HyperElem.__mul__`
+is its one-pair case.  A pass of the kernel collects the (term pair, i)
+contributions with k != 0 mod p of each of its pairs as plain integer
+lists: shifts, row offsets, i, k and the output slot, one slot per key of
+each product.  It copies each distinct operand's block once into one
+source, forms every middle factor at once by fancy-index gathers from that
+source and the Pascal table at the indices (w + s) % q, reduces them mod
+p, adds them row by row into their slots with one `np.add.at`, and hands
+the slots to one `_finish`, which splits them by pair.  No other table is
+cached.  A term pair whose shifted supports are disjoint needs no test:
+its contributions are zero rows, and a slot that gets nothing else is a
+zero row, which `_finish` drops.
+
+A pass ends after the pair with which its contributions times q reach
+`PASS_ENTRIES` (2**14); one pair is never split.  The bound keeps a pass's
+index and gather arrays (about 48 bytes per entry) under a MiB when many
+small products share it, whatever the batch's length.  The products of one
+pass share one read-only buffer, so a kept product keeps that buffer alive.
 """
 
 from __future__ import annotations
@@ -63,6 +74,8 @@ from .modp import factorial_mod_p, is_prime
 __all__ = [
     "AlgebraCtx",
     "HyperElem",
+    "PASS_ENTRIES",
+    "products",
     "zero",
     "one",
     "gen_x",
@@ -90,6 +103,11 @@ __all__ = [
 # Largest q = p**rprime a context may have: the q x q int64 Pascal table
 # (ctx.pascal), the only cached table, already takes 128 MiB at this size.
 _MAX_Q = 4096
+
+# A pass of the product kernel ends once its contributions times q reach
+# this many entries (module docstring); verify's associativity check sizes
+# its groups of trials by it too.
+PASS_ENTRIES = 1 << 14
 
 
 @functools.lru_cache(maxsize=None)
@@ -149,34 +167,50 @@ def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, np.ndarray]:
     This is the path of dicts built outside the kernel: each key's range and
     each vector's length are checked, and the vectors are stacked once.
     """
-    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
+    p, q = ctx.p, ctx.q
     keys = sorted(terms)
     vecs = []
     for key in keys:
-        m, mp_ = key
-        if not (0 <= m < nmax and 0 <= mp_ < nmax):
-            raise ValueError(f"exponent pair {key} out of range for {ctx}")
+        _check_key(ctx, key)
         vec = np.asarray(terms[key], dtype=np.int64)
         if vec.shape != (q,):
             raise ValueError(f"weight function must have length {q}")
         vecs.append(vec)
-    return _finish(keys, np.array(vecs, dtype=np.int64).reshape(len(keys), q) % p)
+    return _finish([keys], np.array(vecs, dtype=np.int64).reshape(len(keys), q) % p)[0]
 
 
-def _finish(keys: list, block: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Terms and frozen block from sorted keys and their rows, reduced mod p.
+def _check_key(ctx: AlgebraCtx, key: tuple[int, int]) -> None:
+    m, mp_ = key
+    if not (0 <= m < ctx.xy_range and 0 <= mp_ < ctx.xy_range):
+        raise ValueError(f"exponent pair {key} out of range for {ctx}")
 
-    A zero row is dropped with its key, and the block is copied into
-    read-only bytes.  Nothing is checked: `_canon` validates a mapping from
-    outside, and the callers of `_from_block` build theirs in key order.
+
+def _finish(runs: list[list], block: np.ndarray) -> list[tuple[dict, np.ndarray]]:
+    """Terms and frozen block of each run of rows of `block`, reduced mod p.
+
+    Run j is the sorted keys runs[j] of the next len(runs[j]) rows.  A zero
+    row is dropped with its key, and the kept rows of every run are copied
+    into one read-only bytes buffer, on which each run's block is an array
+    of its own.  Nothing is checked: `_canon` validates a mapping from
+    outside, and the callers of `_from_block` and `_products` build theirs
+    in key order.
     """
     nonzero = block.any(axis=1)
+    flags = None
     if not nonzero.all():
-        keys = [key for key, keep in zip(keys, nonzero.tolist()) if keep]
+        flags = iter(nonzero.tolist())
         block = block[nonzero]
     # backed by immutable bytes: neither a row nor its base can be made writeable
-    block = np.ndarray(block.shape, np.int64, block.tobytes())
-    return dict(zip(keys, block)), block
+    data, width = block.tobytes(), block.shape[1]
+    out = []
+    offset = 0
+    for keys in runs:
+        if flags is not None:
+            keys = [key for key in keys if next(flags)]
+        part = np.ndarray((len(keys), width), np.int64, data, offset)
+        offset += part.nbytes
+        out.append((dict(zip(keys, part)), part))
+    return out
 
 
 class HyperElem:
@@ -241,16 +275,77 @@ class HyperElem:
             return _from_block(self.ctx, list(self.terms), self._block * (int(other) % p) % p)
         if not isinstance(other, HyperElem):
             return NotImplemented
-        self._check(other)
-        ctx = self.ctx
-        p, q, nmax = ctx.p, ctx.q, ctx.xy_range
-        pas = ctx.pascal
-        # per contribution: shifts into f1, f2 and the Pascal column, the row
-        # offsets of f1, f2 and the column i, the coefficient k, the output slot
-        rows: list[int] = []
+        return _products([(self, other)])[0]
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, np.integer)):
+            return self.__mul__(other)
+        return NotImplemented
+
+
+def _from_block(ctx: AlgebraCtx, keys: list, block: np.ndarray) -> HyperElem:
+    """The element with sorted in-range `keys` and torus factors the rows of
+    `block`, reduced mod p; see `_elements`."""
+    return _elements(ctx, [keys], block)[0]
+
+
+def _elements(ctx: AlgebraCtx, runs: list[list], block: np.ndarray) -> list[HyperElem]:
+    """One element per run of rows of `block` (see `_finish`), all through
+    one `_finish`; an empty result is `zero(ctx)`."""
+    out = []
+    for terms, part in _finish(runs, block):
+        if terms:
+            u = object.__new__(HyperElem)
+            u._freeze(ctx, terms, part)
+        else:
+            u = zero(ctx)
+        out.append(u)
+    return out
+
+
+def products(pairs) -> list[HyperElem]:
+    """[u * v for u, v in pairs], formed in batched kernel passes (module
+    docstring).  Raises TypeError for an item that is not a HyperElem, and
+    ValueError unless every element lies in one context."""
+    return _products(list(pairs))
+
+
+def _products(pairs: list) -> list[HyperElem]:
+    # `HyperElem.__mul__` is the one-pair case.  It calls this function, not
+    # `products`, so a tracer that re-binds public names (perfbench) keeps
+    # the whole product inside the `*` span.
+    if not pairs:
+        return []
+    ctx = pairs[0][0].ctx
+    for pair in pairs:
+        for w in pair:
+            if not isinstance(w, HyperElem):
+                raise TypeError(f"products takes pairs of HyperElem, got {type(w).__name__}")
+            if w.ctx is not ctx and w.ctx != ctx:
+                raise ValueError(f"context mismatch: {ctx} vs {w.ctx}")
+    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
+    pas = ctx.pascal
+    out: list[HyperElem] = []
+    # per contribution: shifts into f1, f2 and the Pascal column, the flat
+    # offsets of f1's and f2's rows in the pass's source and the column i,
+    # the coefficient k, the output slot
+    rows: list[int] = []
+    order: list[int] = []  # the pass's output slots, pair by pair in key order
+    runs: list[list] = []  # each pair's sorted output keys
+    offsets: dict[int, int] = {}  # id of an operand -> its flat offset in the source
+    blocks: list[np.ndarray] = []  # the pass's distinct operands, each once
+    size = 0  # entries in blocks
+    for u, v in pairs:
+        for w in (u, v):
+            if id(w) not in offsets:
+                offsets[id(w)] = size
+                blocks.append(w._block)
+                size += w._block.size
+        off1, off2 = offsets[id(u)], offsets[id(v)]
+        base = len(order)
         slots: dict[tuple[int, int], int] = {}
-        for row1, (m1, m1p) in enumerate(self.terms):
-            for row2, (m2, m2p) in enumerate(other.terms):
+        for row1, (m1, m1p) in enumerate(u.terms):
+            for row2, (m2, m2p) in enumerate(v.terms):
                 # Kummer bound: below it m1 + (m2 - i) or m2' + (m1' - i)
                 # carries out of the top base-p digit, so k = 0 mod p
                 lo = max(0, m1 + m2 - nmax + 1, m1p + m2p - nmax + 1)
@@ -266,50 +361,49 @@ class HyperElem:
                         2 * (i - m2) % q,
                         2 * (i - m1p) % q,
                         (2 * i - m1p - m2) % q,
-                        row1 * q,
-                        row2 * q,
+                        off1 + row1 * q,
+                        off2 + row2 * q,
                         i,
                         k,
-                        slots.setdefault((mm, mmp), len(slots)),
+                        base + slots.setdefault((mm, mmp), len(slots)),
                     )
-        if not rows:
-            return zero(ctx)
-        cols = np.array(rows, dtype=np.int64).reshape(-1, 8).T
-        # flat indices of f1(w + s1), f2(w + s2) and C(w + s3, i), all w at once
-        idx = cols[:3, :, None] + np.arange(q)
-        idx %= q
-        idx[2] *= q
-        idx += cols[3:6, :, None]
-        # exact in int64: four factors below p < 2**12 multiply to less than
-        # 2**48, and a key sums at most one row per term pair, so at most
-        # q**4 <= 2**48 rows below p
-        mid = self._block.ravel()[idx[0]] * other._block.ravel()[idx[1]]
-        mid *= pas.ravel()[idx[2]]
-        mid *= cols[6, :, None]
-        mid %= p
-        acc = np.zeros((len(slots), q), dtype=np.int64)
-        np.add.at(acc, cols[7], mid)
         keys = sorted(slots)
-        acc = acc.take([slots[key] for key in keys], axis=0)
-        acc %= p
-        # `_finish` drops zero rows (disjoint supports, or sums that cancel)
-        return _from_block(ctx, keys, acc)
+        runs.append(keys)
+        order += [base + slots[key] for key in keys]
+        # the bound is checked between pairs: one pair is never split
+        if len(rows) * q >= 8 * PASS_ENTRIES:
+            out += _kernel_pass(ctx, blocks, rows, order, runs)
+            rows, order, runs, offsets, blocks, size = [], [], [], {}, [], 0
+    if runs:
+        out += _kernel_pass(ctx, blocks, rows, order, runs)
+    return out
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, np.integer)):
-            return self.__mul__(other)
-        return NotImplemented
 
-
-def _from_block(ctx: AlgebraCtx, keys: list, block: np.ndarray) -> HyperElem:
-    """The element with sorted in-range `keys` and torus factors the rows of
-    `block`, reduced mod p, through `_finish`; an empty result is `zero(ctx)`."""
-    terms, block = _finish(keys, block)
-    if not terms:
-        return zero(ctx)
-    u = object.__new__(HyperElem)
-    u._freeze(ctx, terms, block)
-    return u
+def _kernel_pass(ctx: AlgebraCtx, blocks: list, rows: list, order: list, runs: list) -> list[HyperElem]:
+    """Every contribution of a pass at once; one element per run (`_products`)."""
+    if not rows:
+        return [zero(ctx)] * len(runs)
+    p, q = ctx.p, ctx.q
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 8).T
+    # flat indices of f1(w + s1), f2(w + s2) and C(w + s3, i), all w at once
+    idx = cols[:3, :, None] + np.arange(q)
+    idx %= q
+    idx[2] *= q
+    idx += cols[3:6, :, None]
+    # exact in int64: four factors below p < 2**12 multiply to less than
+    # 2**48, and a slot sums at most one row per term pair of its pair, so
+    # at most q**4 <= 2**48 rows below p
+    src = np.concatenate(blocks).ravel()
+    mid = src[idx[0]] * src[idx[1]]
+    mid *= ctx.pascal.ravel()[idx[2]]
+    mid *= cols[6, :, None]
+    mid %= p
+    acc = np.zeros((len(order), q), dtype=np.int64)
+    np.add.at(acc, cols[7], mid)
+    acc = acc.take(order, axis=0)
+    acc %= p
+    # `_finish` drops zero rows (disjoint supports, or sums that cancel)
+    return _elements(ctx, runs, acc)
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,21 +415,21 @@ def zero(ctx: AlgebraCtx, /) -> HyperElem:
 
 
 def one(ctx: AlgebraCtx) -> HyperElem:
-    return HyperElem(ctx, {(0, 0): np.ones(ctx.q, dtype=np.int64)})
+    return _from_block(ctx, [(0, 0)], np.ones((1, ctx.q), dtype=np.int64))
 
 
 def gen_x(n: int, ctx: AlgebraCtx) -> HyperElem:
     """The divided power X^(n)."""
     if not 0 <= n < ctx.xy_range:
         raise ValueError(f"X exponent {n} out of range for {ctx}")
-    return HyperElem(ctx, {(0, n): np.ones(ctx.q, dtype=np.int64)})
+    return _from_block(ctx, [(0, n)], np.ones((1, ctx.q), dtype=np.int64))
 
 
 def gen_y(n: int, ctx: AlgebraCtx) -> HyperElem:
     """The divided power Y^(n)."""
     if not 0 <= n < ctx.xy_range:
         raise ValueError(f"Y exponent {n} out of range for {ctx}")
-    return HyperElem(ctx, {(n, 0): np.ones(ctx.q, dtype=np.int64)})
+    return _from_block(ctx, [(n, 0)], np.ones((1, ctx.q), dtype=np.int64))
 
 
 def gen_h_binom(n: int, ctx: AlgebraCtx) -> HyperElem:
@@ -347,7 +441,8 @@ def pbw_elem(m: int, n: int, mprime: int, ctx: AlgebraCtx) -> HyperElem:
     """The basis element Y^(m) C(H, n) X^(m')."""
     if not 0 <= n < ctx.q:
         raise ValueError(f"torus index {n} out of range for {ctx}")
-    return HyperElem(ctx, {(m, mprime): ctx.pascal[:, n]})
+    _check_key(ctx, (m, mprime))
+    return _from_block(ctx, [(m, mprime)], ctx.pascal[None, :, n])
 
 
 def x_power(k: int, ctx: AlgebraCtx) -> HyperElem:
@@ -422,14 +517,15 @@ def from_weight_coords(ctx: AlgebraCtx, nu: int, x) -> HyperElem:
 
 
 def weightfn_to_coeffs(f: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
-    """Coefficients c with f(w) = sum_n c[n] C(w, n).
+    """Coefficients c with f(w) = sum_n c[n] C(w, n); f is one vector, or a
+    (k, q) block converted row by row.
 
     The inverse of the Pascal matrix C is D C D with D = diag((-1)^w), so
-    c = D C D f needs no second table.
+    c = D C D f needs no second table.  A row f gives the row f D C^T D.
     """
     p = ctx.p
     sign = 1 - 2 * (np.arange(ctx.q, dtype=np.int64) & 1)
-    return sign * (ctx.pascal @ (sign * (np.asarray(f, dtype=np.int64) % p))) % p
+    return sign * ((sign * (np.asarray(f, dtype=np.int64) % p)) @ ctx.pascal.T) % p
 
 
 def coeffs_to_weightfn(c: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
@@ -549,13 +645,22 @@ def _format_weightfn(f: np.ndarray, ctx: AlgebraCtx) -> str:
     return " + ".join(parts)
 
 
-def format_element(u: HyperElem) -> str:
-    """Human-readable normal form, one line per (m, m') term."""
+def format_element(u: HyperElem, memo: dict | None = None) -> str:
+    """Human-readable normal form, one line per (m, m') term.
+
+    A `memo` dict, if given, maps each torus factor's bytes to its text and
+    grows as factors are formatted, so that a caller formatting many
+    elements of one context converts each distinct factor once.
+    """
     if u.is_zero():
         return "0"
+    if memo is None:
+        memo = {}
     lines = []
     for (m, mp_), f in u.terms.items():
-        mid = _format_weightfn(f, u.ctx)
+        mid = memo.get(key := f.tobytes())
+        if mid is None:
+            mid = memo[key] = _format_weightfn(f, u.ctx)
         bits = []
         if m:
             bits.append(f"Y^({m})")

@@ -14,7 +14,8 @@ command.  The memo is keyed by content, so it is right for any element; it
 pays because, by the weight-space lemma (`algebra.weight_coords`), the
 torus factor of a weight-nu idempotent's term Y^(m) X^(m) has one nonzero
 entry, at (nu + 2m) mod q, so at most (p - 1) * q distinct rows occur (162
-of the 28,561 rows at (3,4,4)).
+of the 28,561 rows at (3,4,4)).  Text `idempotents` shares one such memo,
+by the bytes of each torus factor, across all its `format_element` calls.
 """
 
 from __future__ import annotations
@@ -157,9 +158,10 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
         )
     else:
         lines = []
+        memo: dict = {}
         for name, e in entries:
             lines.append(f"label {name}:")
-            lines.extend("  " + ln for ln in format_element(e).splitlines())
+            lines.extend("  " + ln for ln in format_element(e, memo).splitlines())
         lines.append(f"count: {len(entries)}")
         _emit("\n".join(lines) + "\n", args.out)
     if args.out is not None:

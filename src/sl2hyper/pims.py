@@ -22,7 +22,10 @@ top_x_exponent stay public as its oracles; the weight is read from supports.
 
 IdealBasis.add_coords is the package's one row reduction over F_p: the
 degree blocks above, left-ideal spans and the split-product rank in verify
-are all built through it.
+are all built through it.  It keeps a row-echelon basis, not a reduced
+one: a new row is cleared at its lowest index by that pivot's row until
+its lowest index is no pivot, and the basis rows are never touched again.
+Only ranks are read from it, and they do not depend on the reduction.
 """
 
 from __future__ import annotations
@@ -89,8 +92,9 @@ def weyl_action(u: HyperElem, lam: int) -> np.ndarray:
 
 @dataclass
 class IdealBasis:
-    """Reduced row-echelon basis in the normal-form coordinate space:
-    rows maps each pivot coordinate to its normalized sparse row."""
+    """Row-echelon basis in the normal-form coordinate space: rows maps each
+    pivot coordinate to its normalized sparse row, whose lowest index is
+    that pivot.  The rows are not reduced against later pivots."""
 
     rows: dict[int, dict[int, int]] = field(default_factory=dict)
 
@@ -104,36 +108,36 @@ class IdealBasis:
         return self.add_coords(_elem_coords(v), v.ctx.p) is not None
 
     def add_coords(self, row: dict[int, int], p: int) -> dict[int, int] | None:
-        """Reduce a sparse coordinate row (consumed) with lowest-index pivoting.
+        """Reduce a sparse coordinate row (consumed) by its own pivots.
 
-        Returns the new normalized basis row, or None when the row already
-        lies in the span.
+        While the row's lowest index is a pivot, that entry is cleared with
+        the pivot's row, which only touches higher indices.  Returns the new
+        normalized basis row, or None when the row already lies in the span.
         """
-        for pv, rw in self.rows.items():
-            if row.get(pv):
-                _sub_multiple(row, rw, row[pv], p)
-        if not row:
+        while row:
+            piv = min(row)
+            rw = self.rows.get(piv)
+            if rw is None:
+                break
+            _sub_multiple(row, rw, row[piv], p)
+        else:
             return None
-        piv = min(row)
         inv = inv_mod_p(row[piv], p)
         row = {c: val * inv % p for c, val in row.items()}
-        for rw in self.rows.values():
-            if rw.get(piv):
-                _sub_multiple(rw, row, rw[piv], p)
         self.rows[piv] = row
         return row
 
 
 def _elem_coords(v: HyperElem) -> dict[int, int]:
-    # coordinate index of Y^(m) C(H,n) X^(m') is (m * p^r + m') * p^r' + n
+    # coordinate index of Y^(m) C(H,n) X^(m') is (m * p^r + m') * p^r' + n;
+    # one conversion of the stacked torus factors, in ascending index order
+    if v.is_zero():
+        return {}
     ctx = v.ctx
-    out: dict[int, int] = {}
-    for (m, mp_), f in v.terms.items():
-        c = weightfn_to_coeffs(f, ctx)
-        base = (m * ctx.xy_range + mp_) * ctx.q
-        for n in np.nonzero(c)[0]:
-            out[base + int(n)] = int(c[n])
-    return out
+    c = weightfn_to_coeffs(np.stack(list(v.terms.values())), ctx)
+    base = np.array([(m * ctx.xy_range + mp_) * ctx.q for m, mp_ in v.terms])
+    k, n = np.nonzero(c)
+    return dict(zip((base[k] + n).tolist(), c[k, n].tolist()))
 
 
 def _sub_multiple(row: dict[int, int], other: dict[int, int], coef: int, p: int) -> None:

@@ -102,6 +102,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
+    PASS_ENTRIES,
     AlgebraCtx,
     HyperElem,
     coeffs_to_weightfn,
@@ -115,6 +116,7 @@ from .algebra import (
     gen_y,
     one,
     pbw_elem,
+    products,
     weight_coords,
     weightfn_to_coeffs,
     x_power,
@@ -523,9 +525,9 @@ def _check_z_operator_laws(ctx: AlgebraCtx, rng: random.Random) -> CheckResult:
         for _ in range(4):
             z1 = _rand_elem(rng, base, 2)
             z2 = _rand_elem(rng, base, 2)
-            if z_operator(z1, pr) * z_operator(z2, pr) != z_operator(z1 * z2, pr):
-                bad.append(f"multiplicativity fails for ({pr.a},{pr.two_j})")
             zz = z_operator(z1, pr)
+            if zz * z_operator(z2, pr) != z_operator(z1 * z2, pr):
+                bad.append(f"multiplicativity fails for ({pr.a},{pr.two_j})")
             if e_emb * zz != zz or zz * e_emb != zz:
                 bad.append(f"corner containment fails for ({pr.a},{pr.two_j})")
             if gen_x(p, tgt) * zz != z_operator(gen_x(1, base) * z1, pr):
@@ -570,13 +572,26 @@ def _check_frobenius_roundtrip(ctx: AlgebraCtx) -> CheckResult:
 
 
 def _check_associativity(ctx: AlgebraCtx, rng: random.Random, trials: int = 200) -> CheckResult:
+    # (u v) w against u (v w), a group of trials per `products` call: a
+    # trial's four products hold about 8p contributions (16 at (3,2,2), 34
+    # at (5,2,2), 67 at (7,2,2)), so a group is about one kernel pass.  The
+    # draws keep their order: u, v, w, trial by trial.
     bad = []
-    for k in range(trials):
-        u = _rand_elem(rng, ctx, 2)
-        v = _rand_elem(rng, ctx, 2)
-        w = _rand_elem(rng, ctx, 2)
-        if (u * v) * w != u * (v * w):
-            bad.append(f"trial {k}")
+    group = max(1, PASS_ENTRIES // (8 * ctx.p * ctx.q))
+    for start in range(0, trials, group):
+        uvw = [
+            tuple(_rand_elem(rng, ctx, 2) for _ in range(3))
+            for _ in range(min(group, trials - start))
+        ]
+        firsts = products(pair for u, v, w in uvw for pair in ((u, v), (v, w)))
+        seconds = products(
+            pair
+            for (u, _, w), uv, vw in zip(uvw, firsts[::2], firsts[1::2])
+            for pair in ((uv, w), (u, vw))
+        )
+        for k, left, right in zip(itertools.count(start), seconds[::2], seconds[1::2]):
+            if left != right:
+                bad.append(f"trial {k}")
     return _result("associativity", bad, f"{trials} random triples")
 
 
@@ -599,15 +614,12 @@ def _check_product_independence(p: int) -> CheckResult:
         return CheckResult("split-product-independence", True, "skipped for p > 3 (size)")
     big = AlgebraCtx(p, 2, 2)
     small = AlgebraCtx(p, 1, 1)
+    exps = list(itertools.product(range(p), repeat=3))
+    us = [pbw_elem(m, n, mp_, big) for m, n, mp_ in exps]
+    vs = [fr_prime(pbw_elem(m, n, mp_, small)) for m, n, mp_ in exps]
     basis = IdealBasis()
-    for m1 in range(p):
-        for n1 in range(p):
-            for m1p in range(p):
-                u = pbw_elem(m1, n1, m1p, big)
-                for m2 in range(p):
-                    for n2 in range(p):
-                        for m2p in range(p):
-                            basis.add(u * fr_prime(pbw_elem(m2, n2, m2p, small)))
+    for uv in products((u, v) for u in us for v in vs):
+        basis.add(uv)
     rank = basis.dim
     ok = rank == p**6
     return _result(

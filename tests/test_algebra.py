@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2hyper import algebra
 from sl2hyper.algebra import (
     AlgebraCtx,
     HyperElem,
@@ -25,6 +26,7 @@ from sl2hyper.algebra import (
     left_weight,
     one,
     pbw_elem,
+    products,
     shift_weightfn,
     weight_coords,
     weightfn_to_coeffs,
@@ -240,6 +242,50 @@ def test_kernel_matches_per_pair_products(p, r, rprime):
     check()
 
 
+# `products` against one `*` per pair: lists that repeat an element (the
+# same object in several pairs), zero operands and zero results, and the
+# empty list.  A bound of 1 ends a pass after every pair, and 40 entries
+# ends one after a few, so pass boundaries fall between drawn pairs.
+@pytest.mark.parametrize("bound", [None, 1, 40])
+@pytest.mark.parametrize("p, r, rprime", [(2, 1, 1), (3, 2, 2), (5, 2, 2), (2, 1, 7)])
+def test_products_match_one_pair_products(p, r, rprime, bound, monkeypatch):
+    ctx = AlgebraCtx(p, r, rprime)
+    if bound is not None:
+        monkeypatch.setattr(algebra, "PASS_ENTRIES", bound)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(st.lists(sparse_elem(ctx), min_size=1, max_size=4), st.data())
+    def check(elems, data):
+        elems.append(zero(ctx))
+        at = st.integers(0, len(elems) - 1)
+        pairs = [(elems[a], elems[b]) for a, b in data.draw(st.lists(st.tuples(at, at), max_size=8))]
+        got = products(pairs)
+        assert got == [u * v for u, v in pairs]
+        for w in got:
+            assert_finished(w)
+
+    check()
+
+
+def test_products_edge_cases():
+    ctx = AlgebraCtx(3, 2, 2)
+    x, y = gen_x(1, ctx), gen_y(1, ctx)
+    mu0, mu1 = weight_projector(0, 2, ctx), weight_projector(1, 2, ctx)
+    assert products([]) == []
+    # a generator of pairs; zero results: disjoint supports, and a carry
+    out = products((u, v) for u, v in [(x, y), (mu0, mu1), (gen_x(3, ctx), gen_x(6, ctx)), (x, y)])
+    assert out[1] is zero(ctx) and out[2] is zero(ctx)
+    assert out[0] == x * y == out[3] and not out[0].is_zero()
+    other = AlgebraCtx(3, 2, 3)
+    for pairs in ([(x, gen_x(1, other))], [(x, y), (gen_y(1, other), x)]):
+        with pytest.raises(ValueError, match="context mismatch"):
+            products(pairs)
+    with pytest.raises(ValueError, match="context mismatch"):
+        x * gen_x(1, other)
+    with pytest.raises(TypeError):
+        products([(x, 2)])
+
+
 def tau(u):
     # the anti-involution Y^(m) f X^(m') -> Y^(m') f X^(m): swap each key
     return HyperElem(u.ctx, {(mp, m): f for (m, mp), f in u.terms.items()})
@@ -352,6 +398,17 @@ def test_weightfn_conversions():
         for _ in range(20):
             f = np.array([rng.randrange(ctx.p) for _ in range(ctx.q)], dtype=np.int64)
             assert np.array_equal(coeffs_to_weightfn(weightfn_to_coeffs(f, ctx), ctx), f)
+
+
+def test_weightfn_to_coeffs_on_a_block():
+    # a (k, q) block converts row by row, entries outside 0..p-1 included
+    rng = np.random.default_rng(SEED)
+    for ctx in (AlgebraCtx(2, 1, 1), AlgebraCtx(3, 2, 2), AlgebraCtx(5, 1, 2), AlgebraCtx(2, 1, 7)):
+        for k in (0, 1, 5):
+            block = rng.integers(-2 * ctx.p, 2 * ctx.p, size=(k, ctx.q))
+            got = weightfn_to_coeffs(block, ctx)
+            assert got.shape == (k, ctx.q)
+            assert got.tolist() == [weightfn_to_coeffs(f, ctx).tolist() for f in block]
 
 
 def test_torus_commutation_contract():
@@ -490,6 +547,16 @@ def test_format_element():
     assert format_element(one(ctx)) == "1"
     u = gen_y(1, ctx) * gen_h_binom(1, ctx) * gen_x(1, ctx)
     assert format_element(u) == "Y^(1) C(H,1) X^(1)"
+
+
+def test_format_element_memo():
+    # a shared memo gives the same text and holds each distinct factor once
+    ctx = AlgebraCtx(3, 2, 2)
+    es = [tuple_idempotent(lb, ctx) for lb in enumerate_labels(ctx)]
+    memo = {}
+    assert [format_element(e, memo) for e in es] == [format_element(e) for e in es]
+    distinct = {f.tobytes() for e in es for f in e.terms.values()}
+    assert set(memo) == distinct and len(distinct) < sum(len(e.terms) for e in es)
 
 
 def test_canon_checks_masks_and_order():

@@ -1,10 +1,22 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2hyper import pims
-from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_h_binom, gen_x, gen_y, one, zero
+from sl2hyper.algebra import (
+    AlgebraCtx,
+    HyperElem,
+    gen_h_binom,
+    gen_x,
+    gen_y,
+    one,
+    pbw_elem,
+    weightfn_to_coeffs,
+    zero,
+)
 from sl2hyper.idempotents import (
     TupleLabel,
     all_pairs,
@@ -201,3 +213,79 @@ def test_ideal_basis_add_reports_growth():
     assert basis.add(vs[0] + 2 * vs[2] + vs[3]) is False
     assert basis.add(zero(ctx)) is False
     assert basis.dim == len(vs)
+
+
+def dense_rank(rows, p):
+    # Gauss-Jordan elimination over F_p on dense lists, independent of IdealBasis
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [(a - row[col] * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ideal_basis_rank_matches_dense_rank(p):
+    # random sparse rows, a third of them combinations of earlier ones: the
+    # span grows exactly when the dense rank does, and the basis stays in
+    # row-echelon form (each row normalized at its lowest index, its pivot)
+    rng = random.Random(1000 + p)
+    ncols = 14
+    for _ in range(40):
+        basis, dense = IdealBasis(), []
+        for _ in range(rng.randrange(1, 18)):
+            if dense and rng.random() < 0.35:
+                picks = rng.sample(dense, rng.randrange(1, len(dense) + 1))
+                row = [sum(rng.randrange(p) * r[c] for r in picks) % p for c in range(ncols)]
+            else:
+                row = [0] * ncols
+                for c in rng.sample(range(ncols), rng.randrange(1, 5)):
+                    row[c] = rng.randrange(1, p)
+            before = dense_rank(dense, p)
+            dense.append(row)
+            added = basis.add_coords({c: v for c, v in enumerate(row) if v}, p)
+            assert (added is not None) == (dense_rank(dense, p) > before)
+            assert basis.dim == dense_rank(dense, p)
+        for piv, row in basis.rows.items():
+            assert min(row) == piv and row[piv] == 1
+            assert all(0 < v < p for v in row.values())
+
+
+def elem_dense_coords(v):
+    # coordinates of v in the PBW basis Y^(m) C(H,n) X^(m'), from the public API
+    ctx = v.ctx
+    out = [0] * (ctx.xy_range**2 * ctx.q)
+    for (m, mp_), f in v.terms.items():
+        base = (m * ctx.xy_range + mp_) * ctx.q
+        out[base : base + ctx.q] = weightfn_to_coeffs(f, ctx).tolist()
+    return out
+
+
+def test_ideal_basis_add_is_false_exactly_in_the_span():
+    rng = random.Random(2024)
+    for ctx in (AlgebraCtx(2, 1, 2), AlgebraCtx(3, 1, 1), AlgebraCtx(3, 2, 2)):
+        basis, seen, dense = IdealBasis(), [], []
+        for _ in range(30):
+            if seen and rng.random() < 0.4:
+                v = zero(ctx)
+                for u in rng.sample(seen, min(3, len(seen))):
+                    v = v + rng.randrange(ctx.p) * u
+            else:
+                v = zero(ctx)
+                for _ in range(rng.randrange(1, 4)):
+                    m, mp_ = rng.randrange(ctx.xy_range), rng.randrange(ctx.xy_range)
+                    v = v + rng.randrange(1, ctx.p) * pbw_elem(m, rng.randrange(ctx.q), mp_, ctx)
+            before = dense_rank(dense, ctx.p)
+            dense.append(elem_dense_coords(v))
+            assert basis.add(v) is (dense_rank(dense, ctx.p) > before)
+            assert basis.dim == dense_rank(dense, ctx.p)
+            seen.append(v)
