@@ -16,7 +16,8 @@ products, and moving f across X^(n) or Y^(n) into index shifts:
 where shift(f, s)(w) = f(w + s).  The binomial-coefficient basis is
 recovered through the unitriangular Pascal matrix C(w, n), used only by
 `format_element`, the F_p row coordinates of `pims.IdealBasis` (census,
-`left_ideal_span`, verify's split-product rank) and verify's round trips.
+`left_ideal_span`, verify's split-product rank) and verify's round trips;
+`_pascal_rows` applies C by Lucas's theorem, with no table beyond ctx.pascal.
 
 `left_weight` is the package's one reader of torus weights, from supports;
 `weight_coords` reads an element of B_nu (`verify`) into coordinates by it,
@@ -47,12 +48,12 @@ contributions with k != 0 mod p of each of its pairs as plain integer
 lists: shifts, row offsets, i, k and the output slot, one slot per key of
 each product.  It copies each distinct operand's block once into one
 source, forms every middle factor at once by fancy-index gathers from that
-source and the Pascal table at the indices (w + s) % q, reduces them mod
-p, adds them row by row into their slots with one `np.add.at`, and hands
-the slots to one `_finish`, which splits them by pair.  No other table is
-cached.  A term pair whose shifted supports are disjoint needs no test:
-its contributions are zero rows, and a slot that gets nothing else is a
-zero row, which `_finish` drops.
+source at (w + s) % q and the Pascal table at (w + s) % p**r (i < p**r, so
+the periodicity lemma of `verify` applies), reduces them mod p, adds them
+row by row into their slots with one `np.add.at`, and hands the slots to
+one `_finish`, which splits them by pair.  A term pair whose shifted
+supports are disjoint needs no test: its contributions are zero rows, and
+a slot that gets nothing else is a zero row, which `_finish` drops.
 
 A pass ends after the pair with which its contributions times q reach
 `PASS_ENTRIES` (2**14); one pair is never split.  The bound keeps a pass's
@@ -100,8 +101,8 @@ __all__ = [
 ]
 
 
-# Largest q = p**rprime a context may have: the q x q int64 Pascal table
-# (ctx.pascal), the only cached table, already takes 128 MiB at this size.
+# Largest q = p**rprime a context may have.  It bounds the q-wide rows: the
+# element blocks (q int64s per term) and the kernel's gathers.
 _MAX_Q = 4096
 
 # A pass of the product kernel ends once its contributions times q reach
@@ -158,7 +159,7 @@ class AlgebraCtx:
 
     @property
     def pascal(self) -> np.ndarray:
-        return _pascal(self.p, self.q)
+        return _pascal(self.p, self.xy_range)
 
 
 def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, np.ndarray]:
@@ -383,12 +384,13 @@ def _kernel_pass(ctx: AlgebraCtx, blocks: list, rows: list, order: list, runs: l
     """Every contribution of a pass at once; one element per run (`_products`)."""
     if not rows:
         return [zero(ctx)] * len(runs)
-    p, q = ctx.p, ctx.q
+    p, q, n = ctx.p, ctx.q, ctx.xy_range
     cols = np.array(rows, dtype=np.int64).reshape(-1, 8).T
-    # flat indices of f1(w + s1), f2(w + s2) and C(w + s3, i), all w at once
+    # flat indices of f1(w + s1), f2(w + s2) and C((w + s3) % p**r, i), all w at once
     idx = cols[:3, :, None] + np.arange(q)
-    idx %= q
-    idx[2] *= q
+    idx[:2] %= q
+    idx[2] %= n
+    idx[2] *= n
     idx += cols[3:6, :, None]
     # exact in int64: four factors below p < 2**12 multiply to less than
     # 2**48, and a slot sums at most one row per term pair of its pair, so
@@ -442,7 +444,7 @@ def pbw_elem(m: int, n: int, mprime: int, ctx: AlgebraCtx) -> HyperElem:
     if not 0 <= n < ctx.q:
         raise ValueError(f"torus index {n} out of range for {ctx}")
     _check_key(ctx, (m, mprime))
-    return _from_block(ctx, [(m, mprime)], ctx.pascal[None, :, n])
+    return _from_block(ctx, [(m, mprime)], _pascal_rows(np.eye(1, ctx.q, n, dtype=np.int64), ctx))
 
 
 def x_power(k: int, ctx: AlgebraCtx) -> HyperElem:
@@ -516,6 +518,17 @@ def from_weight_coords(ctx: AlgebraCtx, nu: int, x) -> HyperElem:
     return _from_block(ctx, [(m, m) for m in ms.tolist()], block)
 
 
+def _pascal_rows(block: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
+    """Rows f C^T mod p, C the q x q Pascal matrix, for a block f with entries
+    in 0..p-1.  By Lucas C = C_p (x) ... (x) C_p (x) ctx.pascal, one factor
+    C_p = ctx.pascal[:p, :p] per digit above the r-th; each is one product."""
+    p, n = ctx.p, ctx.xy_range
+    out = block.reshape(-1, n) @ ctx.pascal.T % p
+    for j in range(ctx.rprime - ctx.r):
+        out = ctx.pascal[:p, :p] @ out.reshape(-1, p, n * p**j) % p
+    return out.reshape(block.shape)
+
+
 def weightfn_to_coeffs(f: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
     """Coefficients c with f(w) = sum_n c[n] C(w, n); f is one vector, or a
     (k, q) block converted row by row.
@@ -523,17 +536,19 @@ def weightfn_to_coeffs(f: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
     The inverse of the Pascal matrix C is D C D with D = diag((-1)^w), so
     c = D C D f needs no second table.  A row f gives the row f D C^T D.
     """
-    p = ctx.p
+    f = np.asarray(f, dtype=np.int64)
+    if f.shape[-1:] != (ctx.q,):
+        raise ValueError(f"weight function must have length {ctx.q}")
     sign = 1 - 2 * (np.arange(ctx.q, dtype=np.int64) & 1)
-    return sign * ((sign * (np.asarray(f, dtype=np.int64) % p)) @ ctx.pascal.T) % p
+    return sign * _pascal_rows(sign * f % ctx.p, ctx) % ctx.p
 
 
 def coeffs_to_weightfn(c: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
-    """Evaluation vector of sum_n c[n] C(H, n)."""
+    """Evaluation vector of sum_n c[n] C(H, n); a (k, q) block converts by rows."""
     c = np.asarray(c, dtype=np.int64)
-    if c.shape != (ctx.q,):
+    if c.shape[-1:] != (ctx.q,):
         raise ValueError(f"coefficient vector must have length {ctx.q}")
-    return (ctx.pascal @ (c % ctx.p)) % ctx.p
+    return _pascal_rows(c % ctx.p, ctx)
 
 
 def fr(u: HyperElem) -> HyperElem:

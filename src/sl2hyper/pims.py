@@ -193,7 +193,7 @@ def _ideal_pass(e: HyperElem) -> tuple[int, int, int]:
     ctx = e.ctx
     p, nmax = ctx.p, ctx.xy_range
     stride = nmax * ctx.q  # coordinate step from Y^(m) to Y^(m+1)
-    pas = ctx.pascal[:nmax, :nmax].tolist()
+    pas = ctx.pascal.tolist()
     blocks: dict[int, IdealBasis] = {}
     top = 0
     for b in range(nmax):
@@ -205,7 +205,7 @@ def _ideal_pass(e: HyperElem) -> tuple[int, int, int]:
         for a in range(nmax):
             # Y^(a) Y^(m) C(H,n) X^(m') = C(a+m, a) Y^(a+m) C(H,n) X^(m'); the
             # entry drops when a + m >= p**r, where Kummer gives C(a+m, a) = 0
-            # (the product kernel's bound), so pas needs only the p**r corner
+            # (the product kernel's bound), so the p**r table holds every read
             shift = a * stride
             row: dict[int, int] = {}
             for m, entries in by_m.items():

@@ -32,11 +32,11 @@ degree-0 terms commute with the torus.  Hence:
 
   over max(a, b) <= c <= a + b with c < p**r (from c = p**r on, Y^(a)
   Y^(b-i) carries out of the top base-p digit, so C(c,a) = 0 mod p).
-  Here a + b - c < p**r <= q, so by Lucas the last factor depends on
-  nu + a + b mod q only.  This holds for every p, p = 2 with r = rprime
-  included.  The formula is symmetric in a and b, so B_nu is commutative
-  and Frob: x |-> x^p is F_p-linear on B_nu; row a of its matrix is
-  beta_a^p, formed by p - 1 left multiplications by beta_a.
+  Here a + b - c < p**r, so by the periodicity lemma (below) the last
+  factor depends on nu + a + b mod p**r only.  This holds for every p,
+  p = 2 with r = rprime included.  The formula is symmetric in a and b,
+  so B_nu is commutative and Frob: x |-> x^p is F_p-linear on B_nu; row a
+  of its matrix is beta_a^p, formed by p - 1 left multiplications by beta_a.
 
 Within one weight, the *character lemma* decides idempotency,
 orthogonality and primitivity without a product of two idempotents.
@@ -183,13 +183,13 @@ def _result(name: str, failures: list[str], detail_ok: str = "") -> CheckResult:
 
 
 def _rand_elem(rng: random.Random, ctx: AlgebraCtx, nterms: int = 3) -> HyperElem:
-    terms: dict[tuple[int, int], np.ndarray] = {}
+    coeffs: dict[tuple[int, int], np.ndarray] = {}
     for _ in range(nterms):
         m = rng.randrange(ctx.xy_range)
         mp_ = rng.randrange(ctx.xy_range)
         n = rng.randrange(ctx.q)
-        terms[m, mp_] = terms.get((m, mp_), 0) + rng.randrange(1, ctx.p) * ctx.pascal[:, n]
-    return HyperElem(ctx, terms)
+        coeffs.setdefault((m, mp_), np.zeros(ctx.q, dtype=np.int64))[n] += rng.randrange(1, ctx.p)
+    return HyperElem(ctx, dict(zip(coeffs, coeffs_to_weightfn(np.array(list(coeffs.values())), ctx))))
 
 
 def _check_mu_projectors(ctx: AlgebraCtx) -> CheckResult:
@@ -236,7 +236,7 @@ def _product_lemma_slice(ctx: AlgebraCtx, nus: list[int], a: int) -> np.ndarray:
     bs, cs = np.nonzero(coef)
     nu_col = np.array(nus, dtype=np.int64)[:, None]
     t = np.zeros((len(nus), n, n), dtype=np.int64)
-    t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % ctx.q, a + bs - cs] % p
+    t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % n, a + bs - cs] % p
     return t
 
 
@@ -267,10 +267,10 @@ def weight_space_characters(ctx: AlgebraCtx) -> dict[int, tuple[list[tuple[int, 
     chi[k, m] = chi_(pairs[k])(beta_m) = C(mu'-i+m, m) C(i, m) mod p.
     """
     p, n, q, pas = ctx.p, ctx.xy_range, ctx.q, ctx.pascal
-    mu1, i = np.nonzero(pas[:n, :n])  # C(mu', i) != 0 mod p, so i <= mu'
+    mu1, i = np.nonzero(pas)  # C(mu', i) != 0 mod p, so i <= mu'
     m = np.arange(n)
-    # mu' - i + m <= mu' < q wherever C(i, m) != 0, that is for m <= i
-    chi = pas[i[:, None], m] * pas[((mu1 - i)[:, None] + m) % q, m] % p
+    # m < p**r, so C(mu' - i + m, m) is read mod p**r (periodicity lemma)
+    chi = pas[i[:, None], m] * pas[((mu1 - i)[:, None] + m) % n, m] % p
     by_nu: dict[int, tuple[list[tuple[int, int]], list[int]]] = {}
     for k, (a, b) in enumerate(zip(mu1.tolist(), i.tolist())):
         for mu in range(a, q, n):

@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,9 +88,9 @@ def test_shift_weightfn():
 
 
 def test_pascal_table_is_read_only():
-    # the table is cached per (p, q) and shared: a write into it would change
-    # every later gen_h_binom and product in that context (p = 11 is used by
-    # no other test, so a writeable table cannot leak into them)
+    # the table is cached per (p, p**r) and shared: a write into it would
+    # change every later gen_h_binom and product in that context (p = 11 is
+    # used by no other test, so a writeable table cannot leak into them)
     ctx = AlgebraCtx(11, 1, 1)
     pas = ctx.pascal
     with pytest.raises(ValueError):
@@ -409,6 +410,91 @@ def test_weightfn_to_coeffs_on_a_block():
             got = weightfn_to_coeffs(block, ctx)
             assert got.shape == (k, ctx.q)
             assert got.tolist() == [weightfn_to_coeffs(f, ctx).tolist() for f in block]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_pascal(p, q):
+    # the q x q Pascal matrix mod p by the q-step recurrence
+    # C(w, n) = C(w - 1, n) + C(w - 1, n - 1): the oracle of the Lucas route
+    out = np.zeros((q, q), dtype=np.int64)
+    out[:, 0] = 1
+    for w in range(1, q):
+        out[w, 1:] = (out[w - 1, 1:] + out[w - 1, :-1]) % p
+    return out
+
+
+# rprime > r, p = 2 and r = rprime all occur
+LUCAS_CTXS = [(2, 1, 5), (2, 3, 4), (3, 1, 4), (3, 2, 3), (5, 1, 2), (7, 2, 2)]
+
+
+@pytest.mark.parametrize("args", LUCAS_CTXS)
+def test_pascal_table_is_the_reference_corner(args):
+    ctx = AlgebraCtx(*args)
+    n, ref = ctx.xy_range, reference_pascal(ctx.p, ctx.q)
+    assert ctx.pascal.shape == (n, n)
+    assert np.array_equal(ctx.pascal, ref[:n, :n])
+    # periodicity lemma: rows w and w + p**r agree on every column below p**r
+    assert np.array_equal(ref[n:, :n], ref[:-n, :n])
+
+
+@pytest.mark.parametrize("args", LUCAS_CTXS)
+def test_conversions_match_the_reference(args):
+    # c = D C D f and f = C c, with the q x q reference C and D = diag((-1)^w),
+    # on a vector and on a block, entries outside 0..p-1 included
+    ctx = AlgebraCtx(*args)
+    p, q, ref = ctx.p, ctx.q, reference_pascal(ctx.p, ctx.q)
+    sign = (-1) ** np.arange(q)
+    rng = np.random.default_rng(SEED)
+    for f in (rng.integers(-2 * p, 2 * p, size=q), rng.integers(-2 * p, 2 * p, size=(5, q))):
+        want = [sign * (ref @ (sign * row)) % p for row in f.reshape(-1, q)]
+        assert np.array_equal(weightfn_to_coeffs(f, ctx), np.reshape(want, f.shape))
+        want = [ref @ row % p for row in f.reshape(-1, q)]
+        assert np.array_equal(coeffs_to_weightfn(f, ctx), np.reshape(want, f.shape))
+
+
+@pytest.mark.parametrize("args", LUCAS_CTXS)
+def test_binomial_columns_match_the_reference(args):
+    ctx = AlgebraCtx(*args)
+    ref = reference_pascal(ctx.p, ctx.q)
+    rng = random.Random(SEED)
+    for n in range(ctx.q):
+        assert np.array_equal(gen_h_binom(n, ctx).terms[(0, 0)], ref[:, n])
+        m, mp = rng.randrange(ctx.xy_range), rng.randrange(ctx.xy_range)
+        u = pbw_elem(m, n, mp, ctx)
+        assert list(u.terms) == [(m, mp)] and np.array_equal(u.terms[(m, mp)], ref[:, n])
+
+
+def test_conversions_check_the_length():
+    for ctx in (AlgebraCtx(3, 1, 2), AlgebraCtx(2, 1, 5)):
+        q = ctx.q
+        for length in (q - 1, q + ctx.p, 2 * q):
+            for f in (np.ones(length, dtype=np.int64), np.ones((3, length), dtype=np.int64)):
+                with pytest.raises(ValueError, match=f"weight function must have length {q}"):
+                    weightfn_to_coeffs(f, ctx)
+                with pytest.raises(ValueError, match=f"coefficient vector must have length {q}"):
+                    coeffs_to_weightfn(f, ctx)
+
+
+def test_conversions_build_no_q_squared_table():
+    # a q x q int64 table would take 32 MiB at q = 2048; the conversions and
+    # pbw_elem need only q-wide rows.  No other test uses p = 2 with
+    # rprime = 11, so nothing of this context is cached beforehand.
+    ctx = AlgebraCtx(2, 1, 11)
+    q = ctx.q
+    block = np.random.default_rng(SEED).integers(0, 2, size=(4, q))
+    tracemalloc.start()
+    try:
+        coeffs = weightfn_to_coeffs(block, ctx)
+        back = coeffs_to_weightfn(coeffs, ctx)
+        vec = coeffs_to_weightfn(coeffs[1], ctx)
+        top = pbw_elem(0, q - 1, 0, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(back, block) and np.array_equal(vec, block[1])
+    # C(w, q - 1) mod 2 is 1 at w = q - 1 alone
+    assert np.flatnonzero(top.terms[(0, 0)]).tolist() == [q - 1]
 
 
 def test_torus_commutation_contract():
