@@ -75,7 +75,6 @@ from .modp import factorial_mod_p, is_prime
 __all__ = [
     "AlgebraCtx",
     "HyperElem",
-    "PASS_ENTRIES",
     "products",
     "zero",
     "one",
@@ -106,8 +105,7 @@ __all__ = [
 _MAX_Q = 4096
 
 # A pass of the product kernel ends once its contributions times q reach
-# this many entries (module docstring); verify's associativity check sizes
-# its groups of trials by it too.
+# this many entries (module docstring).
 PASS_ENTRIES = 1 << 14
 
 

@@ -37,6 +37,11 @@ degree-0 terms commute with the torus.  Hence:
   p = 2 with r = rprime included.  The formula is symmetric in a and b,
   so B_nu is commutative and Frob: x |-> x^p is F_p-linear on B_nu; row a
   of its matrix is beta_a^p, formed by p - 1 left multiplications by beta_a.
+* the *support lemma* keeps those multiplications small.  By Lucas,
+  C(c,a) != 0 mod p exactly when c >= a digit by digit, so by the product
+  lemma beta_a beta_b lies in the span of the beta_c with c in
+  S_a = {c >= a digitwise}, and so does every power of beta_a.  Row a of
+  Frob needs S_a x S_a alone; |S_a| = prod_k (p - a_k), and S_a[0] = a.
 
 Within one weight, the *character lemma* decides idempotency,
 orthogonality and primitivity without a product of two idempotents.
@@ -102,7 +107,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    PASS_ENTRIES,
     AlgebraCtx,
     HyperElem,
     coeffs_to_weightfn,
@@ -224,38 +228,40 @@ def _check_mu_binomial_form(ctx: AlgebraCtx) -> CheckResult:
     return _result("weight-projector-binomial-form", bad)
 
 
-def _product_lemma_slice(ctx: AlgebraCtx, nus: list[int], a: int) -> np.ndarray:
-    """t[k, b, c] = C(c,a) C(c,b) C(nu_k+a+b, a+b-c) for c <= a + b: the beta_c
-    coordinate of beta_a beta_b in B_(nus[k]), by the product lemma (module
-    docstring) and the Pascal table."""
+def _product_lemma_slice(ctx: AlgebraCtx, nus: list[int], a: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t): s = S_a, the c >= a digit by digit, and t[k, j, l] =
+    C(c,a) C(c,b) C(nu_k+a+b, a+b-c) at b = s[j], c = s[l]: the beta_c
+    coordinate of beta_a beta_b in B_(nus[k]), by the product and support
+    lemmas (module docstring) and the Pascal table."""
     p, n, pas = ctx.p, ctx.xy_range, ctx.pascal
-    b, c = np.arange(n)[:, None], np.arange(n)
+    s = np.flatnonzero(pas[:, a])
+    b, c = s[:, None], s
     # The last factor is read only where C(c,a) C(c,b) != 0 mod p, which forces
     # 0 <= a + b - c <= min(a, b) (and, by Lucas, is rare).
     coef = pas[c, a] * pas[c, b] * (c <= a + b) % p
-    bs, cs = np.nonzero(coef)
+    js, ls = np.nonzero(coef)
+    bs, cs = s[js], s[ls]
     nu_col = np.array(nus, dtype=np.int64)[:, None]
-    t = np.zeros((len(nus), n, n), dtype=np.int64)
-    t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % n, a + bs - cs] % p
-    return t
+    t = np.zeros((len(nus), len(s), len(s)), dtype=np.int64)
+    t[:, js, ls] = coef[js, ls] * pas[(nu_col + a + bs) % n, a + bs - cs] % p
+    return s, t
 
 
 def weight_space_frobenius(ctx: AlgebraCtx, nus: list[int]) -> dict[int, np.ndarray]:
     """The Frobenius matrix of each B_nu, nu in nus: row a holds the
-    coordinates of beta_a^p, by p - 1 left multiplications by beta_a."""
+    coordinates of beta_a^p, by p - 1 left multiplications by beta_a.  By
+    the support lemma (module docstring) they stay on S_a, so each
+    multiplication is one |S_a| x |S_a| slice."""
     p, n = ctx.p, ctx.xy_range
     frob = np.zeros((len(nus), n, n), dtype=np.int64)
     for a in range(n):
-        # float64, because numpy sends float64 products to BLAS and int64 ones
-        # to its own loop.  Exact: every entry is an integer below p, so a sum
-        # of p**r products stays below p**r * p**2 <= 2**36 < 2**53
-        # (p**r <= q <= 4096), and % p of such a float is exact.
-        t = _product_lemma_slice(ctx, nus, a).astype(np.float64)
-        power = np.zeros((len(nus), 1, n), dtype=np.float64)
-        power[:, 0, a] = 1
+        s, t = _product_lemma_slice(ctx, nus, a)
+        # exact in int64: a sum of |S_a| <= p**r products below p**2
+        power = np.zeros((len(nus), 1, len(s)), dtype=np.int64)
+        power[:, 0, 0] = 1  # s[0] = a
         for _ in range(p - 1):
             power = power @ t % p
-        frob[:, a] = power[:, 0]
+        frob[:, a, s] = power[:, 0]
     return dict(zip(nus, frob))
 
 
@@ -572,26 +578,13 @@ def _check_frobenius_roundtrip(ctx: AlgebraCtx) -> CheckResult:
 
 
 def _check_associativity(ctx: AlgebraCtx, rng: random.Random, trials: int = 200) -> CheckResult:
-    # (u v) w against u (v w), a group of trials per `products` call: a
-    # trial's four products hold about 8p contributions (16 at (3,2,2), 34
-    # at (5,2,2), 67 at (7,2,2)), so a group is about one kernel pass.  The
-    # draws keep their order: u, v, w, trial by trial.
-    bad = []
-    group = max(1, PASS_ENTRIES // (8 * ctx.p * ctx.q))
-    for start in range(0, trials, group):
-        uvw = [
-            tuple(_rand_elem(rng, ctx, 2) for _ in range(3))
-            for _ in range(min(group, trials - start))
-        ]
-        firsts = products(pair for u, v, w in uvw for pair in ((u, v), (v, w)))
-        seconds = products(
-            pair
-            for (u, _, w), uv, vw in zip(uvw, firsts[::2], firsts[1::2])
-            for pair in ((uv, w), (u, vw))
-        )
-        for k, left, right in zip(itertools.count(start), seconds[::2], seconds[1::2]):
-            if left != right:
-                bad.append(f"trial {k}")
+    # (u v) w against u (v w), with the draws in order: u, v, w, trial by trial
+    uvw = [tuple(_rand_elem(rng, ctx, 2) for _ in range(3)) for _ in range(trials)]
+    firsts = products(pair for u, v, w in uvw for pair in ((u, v), (v, w)))
+    seconds = products(
+        pair for (u, _, w), uv, vw in zip(uvw, firsts[::2], firsts[1::2]) for pair in ((uv, w), (u, vw))
+    )
+    bad = [f"trial {k}" for k, (left, right) in enumerate(zip(seconds[::2], seconds[1::2])) if left != right]
     return _result("associativity", bad, f"{trials} random triples")
 
 

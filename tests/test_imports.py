@@ -1,4 +1,5 @@
-"""No module imports another module's private names or reads an element's layout."""
+"""No module imports another module's private names, reads an element's layout
+or computes in floats."""
 
 import ast
 from pathlib import Path
@@ -50,4 +51,24 @@ def test_element_layout_stays_in_algebra():
         if path.name != "algebra.py":
             source = path.read_text(encoding="utf-8")
             hits += _private_attributes(source, str(path.relative_to(ROOT)))
+    assert hits == []
+
+
+def _float_uses(source: str, where: str) -> list[str]:
+    # the name `float`, or an attribute starting with `float` (np.float64, ...)
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "float":
+            out.append(f"{where}:{node.lineno} uses float")
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("float"):
+            out.append(f"{where}:{node.lineno} uses .{node.attr}")
+    return sorted(out)
+
+
+def test_no_float_arithmetic():
+    # the package computes in integers mod p alone
+    assert _float_uses("x.astype(np.float64)\nfloat(y)\nz.floor", "x") == ["x:1 uses .float64", "x:2 uses float"]
+    hits = []
+    for path in sorted((ROOT / "src" / "sl2hyper").glob("*.py")):
+        hits += _float_uses(path.read_text(encoding="utf-8"), str(path.relative_to(ROOT)))
     assert hits == []

@@ -1,9 +1,9 @@
 """The basic suite's certificate in the weight-space algebras B_nu.
 
 The coordinate route (product-lemma slices, Frobenius matrix, characters)
-is checked against `HyperElem` products and the Weyl-module action, and the
-certificate is run on broken families, which must fail with the label that
-broke them.
+is checked against `HyperElem` products, a dense reference slice and the
+Weyl-module action, and the certificate is run on broken families, which
+must fail with the label that broke them.
 """
 
 import random
@@ -49,6 +49,22 @@ def coords_of(u, nu, ctx):
     got_nu, x = weight_coords(u)
     assert got_nu == nu
     return x
+
+
+def reference_slice(ctx: AlgebraCtx, nus: list[int], a: int) -> np.ndarray:
+    """t[k, b, c] = C(c,a) C(c,b) C(nu_k+a+b, a+b-c) for c <= a + b: the beta_c
+    coordinate of beta_a beta_b in B_(nus[k]), by the product lemma (verify's
+    module docstring) and the Pascal table."""
+    p, n, pas = ctx.p, ctx.xy_range, ctx.pascal
+    b, c = np.arange(n)[:, None], np.arange(n)
+    # The last factor is read only where C(c,a) C(c,b) != 0 mod p, which forces
+    # 0 <= a + b - c <= min(a, b) (and, by Lucas, is rare).
+    coef = pas[c, a] * pas[c, b] * (c <= a + b) % p
+    bs, cs = np.nonzero(coef)
+    nu_col = np.array(nus, dtype=np.int64)[:, None]
+    t = np.zeros((len(nus), n, n), dtype=np.int64)
+    t[:, bs, cs] = coef[bs, cs] * pas[(nu_col + a + bs) % n, a + bs - cs] % p
+    return t
 
 
 def family(ctx):
@@ -106,7 +122,7 @@ def test_product_lemma_matches_kernel_products(p, r, rprime):
     yx = [pbw_elem(a, 0, a, ctx) for a in range(n)]
     for a in range(n):
         # t[nu, b] holds the coordinates of beta_a beta_b in B_nu
-        t = verify._product_lemma_slice(ctx, list(range(q)), a)
+        t = reference_slice(ctx, list(range(q)), a)
         for b in range(n):
             want = t[:, b]
             for u in (yx[a] * yx[b], yx[b] * yx[a]):
@@ -117,7 +133,28 @@ def test_product_lemma_matches_kernel_products(p, r, rprime):
                 assert np.array_equal(g[np.arange(n), at], want), (a, b)
 
 
-@pytest.mark.parametrize("p, r, rprime", [(2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("p, r, rprime", ORACLE_CTXS + [(2, 2, 2), (2, 3, 3)])
+def test_support_lemma(p, r, rprime):
+    # S_a is the c >= a digit by digit; for b in S_a the reference's beta_a
+    # beta_b has no coordinate off S_a, and the package's slice is the
+    # reference on S_a x S_a
+    ctx = AlgebraCtx(p, r, rprime)
+    n, nus = ctx.xy_range, list(range(ctx.q))
+    digits = np.array([[c // p**k % p for k in range(r)] for c in range(n)])
+    for a in range(n):
+        want = reference_slice(ctx, nus, a)
+        s, t = verify._product_lemma_slice(ctx, nus, a)
+        assert np.array_equal(s, np.flatnonzero((digits >= digits[a]).all(axis=1))), a
+        assert len(s) == np.prod(p - digits[a]) and s[0] == a
+        off = np.setdiff1d(np.arange(n), s)
+        assert not want[:, s[:, None], off].any(), a
+        assert np.array_equal(t, want[:, s[:, None], s]), a
+
+
+@pytest.mark.parametrize(
+    "p, r, rprime",
+    [(2, 2, 2), (2, 1, 3), (3, 2, 2), (3, 1, 2), (5, 2, 2), (2, 3, 4), (3, 1, 4), (3, 3, 3), (7, 1, 2)],
+)
 def test_frobenius_rows_are_pth_powers(p, r, rprime):
     ctx = AlgebraCtx(p, r, rprime)
     nus = list(range(ctx.q))
@@ -162,7 +199,7 @@ def test_characters_are_homomorphisms(p, r, rprime):
     chars = weight_space_characters(ctx)
     assert sorted(chars) == nus
     for a in range(ctx.xy_range):
-        t = verify._product_lemma_slice(ctx, nus, a)
+        t = reference_slice(ctx, nus, a)
         for nu in nus:
             chi = chars[nu][1]
             assert np.array_equal(chi[:, [a]] * chi % p, chi @ t[nu].T % p), (nu, a)
@@ -401,6 +438,26 @@ def test_unmatched_or_foreign_input_is_rejected_before_any_work(monkeypatch):
         certify_decomposition(ctx, labels, es[:-1])
     with pytest.raises(ValueError, match="outside"):
         certify_decomposition(ctx, labels, es[:-1] + [one(AlgebraCtx(3, 2, 2))])
+
+
+def test_associativity_failure_names_its_trial(monkeypatch):
+    # a wrong (u v) w at trial 137 fails the check by that trial alone; the
+    # first products of every trial are one call, and the second ones another
+    ctx = AlgebraCtx(3, 2, 2)
+    assert verify._check_associativity(ctx, random.Random(1)).detail == "200 random triples"
+    real, calls = verify.products, []
+
+    def broken(pairs):
+        out = real(pairs)
+        calls.append(len(out))
+        if len(calls) == 2:
+            out[2 * 137] = out[2 * 137] + one(ctx)
+        return out
+
+    monkeypatch.setattr(verify, "products", broken)
+    res = verify._check_associativity(ctx, random.Random(1))
+    assert calls == [400, 400]
+    assert res.passed is False and res.detail == "trial 137"
 
 
 @pytest.mark.parametrize("p, r, rprime", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 2, 2)])
