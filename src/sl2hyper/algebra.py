@@ -37,6 +37,14 @@ and stacks them; a product, a scalar multiple, a negation, `fr`,
 `pbw_elem` form their result's block in key order and hand it over
 directly.  `element_to_json` reads the block with one `tolist`.
 
+*Storage lemma.*  Every stored entry lies in [0, p).  Since q = p**rprime <=
+`_MAX_Q` = 4096 and rprime >= 1, p <= 4093 < 2**15, so int16 (`_STORE`)
+holds every entry exactly.  Blocks are stored as int16 and all arithmetic on
+them is done in int64: the kernel widens its source once per pass, and a
+scalar multiple widens the block first, since (p - 1)**2 overflows int16
+once p >= 182.  A sum of two entries stays below 2**13, and a negated entry
+above -2**12.
+
 A (term pair, i) contribution has coefficient C(m1+m2-i, m1) C(m1'+m2'-i, m2')
 mod p.  Once m1 + (m2 - i) reaches p**r the base-p addition carries, and
 Kummer gives C(m1+m2-i, m1) = 0; likewise for the primed pair.  So i starts
@@ -101,8 +109,13 @@ __all__ = [
 
 
 # Largest q = p**rprime a context may have.  It bounds the q-wide rows: the
-# element blocks (q int64s per term) and the kernel's gathers.
+# element blocks (q entries of _STORE per term) and the kernel's gathers.
 _MAX_Q = 4096
+
+# Storage dtype of the element blocks (storage lemma, module docstring).
+# Signed, as `__neg__` negates a block before reducing it mod p.
+_STORE = np.int16
+assert _MAX_Q < 2**15
 
 # A pass of the product kernel ends once its contributions times q reach
 # this many entries (module docstring).
@@ -200,13 +213,13 @@ def _finish(runs: list[list], block: np.ndarray) -> list[tuple[dict, np.ndarray]
         flags = iter(nonzero.tolist())
         block = block[nonzero]
     # backed by immutable bytes: neither a row nor its base can be made writeable
-    data, width = block.tobytes(), block.shape[1]
+    data, width = block.astype(_STORE, copy=False).tobytes(), block.shape[1]
     out = []
     offset = 0
     for keys in runs:
         if flags is not None:
             keys = [key for key in keys if next(flags)]
-        part = np.ndarray((len(keys), width), np.int64, data, offset)
+        part = np.ndarray((len(keys), width), _STORE, data, offset)
         offset += part.nbytes
         out.append((dict(zip(keys, part)), part))
     return out
@@ -271,7 +284,8 @@ class HyperElem:
     def __mul__(self, other):
         if isinstance(other, (int, np.integer)):
             p = self.ctx.p
-            return _from_block(self.ctx, list(self.terms), self._block * (int(other) % p) % p)
+            block = self._block.astype(np.int64) * (int(other) % p)
+            return _from_block(self.ctx, list(self.terms), block % p)
         if not isinstance(other, HyperElem):
             return NotImplemented
         return _products([(self, other)])[0]
@@ -392,8 +406,8 @@ def _kernel_pass(ctx: AlgebraCtx, blocks: list, rows: list, order: list, runs: l
     idx += cols[3:6, :, None]
     # exact in int64: four factors below p < 2**12 multiply to less than
     # 2**48, and a slot sums at most one row per term pair of its pair, so
-    # at most q**4 <= 2**48 rows below p
-    src = np.concatenate(blocks).ravel()
+    # at most q**4 <= 2**48 rows below p; the int16 blocks are widened here
+    src = np.concatenate(blocks, dtype=np.int64).ravel()
     mid = src[idx[0]] * src[idx[1]]
     mid *= ctx.pascal.ravel()[idx[2]]
     mid *= cols[6, :, None]
@@ -415,21 +429,21 @@ def zero(ctx: AlgebraCtx, /) -> HyperElem:
 
 
 def one(ctx: AlgebraCtx) -> HyperElem:
-    return _from_block(ctx, [(0, 0)], np.ones((1, ctx.q), dtype=np.int64))
+    return _from_block(ctx, [(0, 0)], np.ones((1, ctx.q), dtype=_STORE))
 
 
 def gen_x(n: int, ctx: AlgebraCtx) -> HyperElem:
     """The divided power X^(n)."""
     if not 0 <= n < ctx.xy_range:
         raise ValueError(f"X exponent {n} out of range for {ctx}")
-    return _from_block(ctx, [(0, n)], np.ones((1, ctx.q), dtype=np.int64))
+    return _from_block(ctx, [(0, n)], np.ones((1, ctx.q), dtype=_STORE))
 
 
 def gen_y(n: int, ctx: AlgebraCtx) -> HyperElem:
     """The divided power Y^(n)."""
     if not 0 <= n < ctx.xy_range:
         raise ValueError(f"Y exponent {n} out of range for {ctx}")
-    return _from_block(ctx, [(n, 0)], np.ones((1, ctx.q), dtype=np.int64))
+    return _from_block(ctx, [(n, 0)], np.ones((1, ctx.q), dtype=_STORE))
 
 
 def gen_h_binom(n: int, ctx: AlgebraCtx) -> HyperElem:
@@ -442,7 +456,7 @@ def pbw_elem(m: int, n: int, mprime: int, ctx: AlgebraCtx) -> HyperElem:
     if not 0 <= n < ctx.q:
         raise ValueError(f"torus index {n} out of range for {ctx}")
     _check_key(ctx, (m, mprime))
-    return _from_block(ctx, [(m, mprime)], _pascal_rows(np.eye(1, ctx.q, n, dtype=np.int64), ctx))
+    return _from_block(ctx, [(m, mprime)], _pascal_rows(np.eye(1, ctx.q, n, dtype=_STORE), ctx))
 
 
 def x_power(k: int, ctx: AlgebraCtx) -> HyperElem:
@@ -511,7 +525,7 @@ def from_weight_coords(ctx: AlgebraCtx, nu: int, x) -> HyperElem:
         raise ValueError(f"weight {nu} out of range 0..{ctx.q - 1}")
     x = x % ctx.p
     ms = np.flatnonzero(x)
-    block = np.zeros((len(ms), ctx.q), dtype=np.int64)
+    block = np.zeros((len(ms), ctx.q), dtype=_STORE)
     block[np.arange(len(ms)), (nu + 2 * ms) % ctx.q] = x[ms]
     return _from_block(ctx, [(m, m) for m in ms.tolist()], block)
 

@@ -9,13 +9,22 @@ including the seed.
 JSON output is the compact sorted `json.dumps(payload, sort_keys=True,
 separators=(",", ":"))` plus a newline.  `idempotents` and `show` write
 that text byte for byte through `_entry_json`, one entry at a time, without
-building the payload: each distinct `h_eval` list is encoded once per
-command.  The memo is keyed by content, so it is right for any element; it
-pays because, by the weight-space lemma (`algebra.weight_coords`), the
-torus factor of a weight-nu idempotent's term Y^(m) X^(m) has one nonzero
-entry, at (nu + 2m) mod q, so at most (p - 1) * q distinct rows occur (162
-of the 28,561 rows at (3,4,4)).  Text `idempotents` shares one such memo,
-by the bytes of each torus factor, across all its `format_element` calls.
+building the payload: each distinct torus factor's `h_eval` list is encoded
+once per command, keyed by the factor's bytes.  The memo is keyed by
+content, so it is right for any element; it pays because, by the
+weight-space lemma (`algebra.weight_coords`), the torus factor of a
+weight-nu idempotent's term Y^(m) X^(m) has one nonzero entry, at
+(nu + 2m) mod q, so at most (p - 1) * q distinct rows occur (162 of the
+28,561 rows at (3,4,4)).  Text `idempotents` shares one such memo across
+all its `format_element` calls.
+
+`idempotents` streams its output: `_emit` takes an iterable of string
+pieces and writes them in order, and the command yields the JSON header,
+then one entry at a time, then the trailer (in text, one label block at a
+time), so the whole output is never held as one string.  Every element is
+built before the first piece is written, so a command that fails while
+building leaves an `--out` file untouched.  `verify`, `pim-table` and
+`show` pass one string.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraCtx, element_to_json, format_element
+from .algebra import AlgebraCtx, format_element
 from .idempotents import (
     LabelError,
     enumerate_labels,
@@ -101,10 +110,15 @@ def _check_out(out: str | None) -> None:
     raise UsageError(f"cannot write {out}: {os.strerror(code)}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces, out: str | None) -> None:
+    """Write `pieces`, one string or an iterable of strings, in order to
+    stdout or to the file `out`; a write error anywhere is a UsageError."""
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     if out is None:
         try:
-            sys.stdout.write(text)
+            for piece in pieces:
+                sys.stdout.write(piece)
             sys.stdout.flush()
         except OSError as exc:
             # a usage error (exit 2), not a failed check; the failed bytes stay
@@ -117,7 +131,7 @@ def _emit(text: str, out: str | None) -> None:
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
@@ -128,19 +142,35 @@ def _json_dumps(obj) -> str:
 
 def _entry_json(name: str, e, rows: dict) -> str:
     """`_json_dumps({"element": element_to_json(e), "label": name})`, less
-    its newline.  `rows` maps each `h_eval` list, as a tuple, to its text."""
-    el = element_to_json(e)
+    its newline.  `rows` maps the bytes of each torus factor to its
+    `h_eval` text; a factor is read with `tolist` only when it is new."""
+    ctx = e.ctx
     terms = []
-    for t in el["terms"]:
-        h = t["h_eval"]
-        text = rows.get(key := tuple(h))
+    for (m, mp_), f in e.terms.items():
+        text = rows.get(key := f.tobytes())
         if text is None:
-            text = rows[key] = json.dumps(h, separators=(",", ":"))
-        terms.append(f'{{"h_eval":{text},"xexp":{t["xexp"]},"yexp":{t["yexp"]}}}')
+            text = rows[key] = json.dumps(f.tolist(), separators=(",", ":"))
+        terms.append(f'{{"h_eval":{text},"xexp":{mp_},"yexp":{m}}}')
     return (
-        f'{{"element":{{"p":{el["p"]},"r":{el["r"]},"rprime":{el["rprime"]},'
+        f'{{"element":{{"p":{ctx.p},"r":{ctx.r},"rprime":{ctx.rprime},'
         f'"terms":[{",".join(terms)}]}},"label":{json.dumps(name)}}}'
     )
+
+
+def _idempotents_json(ctx: AlgebraCtx, entries: list):
+    rows: dict = {}
+    yield f'{{"count":{len(entries)},"idempotents":['
+    for i, (name, e) in enumerate(entries):
+        yield ("," if i else "") + _entry_json(name, e, rows)
+    yield f'],"p":{ctx.p},"r":{ctx.r},"rprime":{ctx.rprime}}}\n'
+
+
+def _idempotents_text(entries: list):
+    memo: dict = {}
+    for name, e in entries:
+        lines = format_element(e, memo).splitlines()
+        yield f"label {name}:\n" + "".join(f"  {ln}\n" for ln in lines)
+    yield f"count: {len(entries)}\n"
 
 
 def _cmd_idempotents(args: argparse.Namespace) -> int:
@@ -148,22 +178,9 @@ def _cmd_idempotents(args: argparse.Namespace) -> int:
     labels = enumerate_labels(ctx)
     entries = [(format_label(lb), tuple_idempotent(lb, ctx)) for lb in labels]
     if args.format == "json":
-        rows: dict = {}
-        # no name holds the joined entries, so they are freed before the write
-        _emit(
-            f'{{"count":{len(entries)},"idempotents":['
-            + ",".join(_entry_json(name, e, rows) for name, e in entries)
-            + f'],"p":{ctx.p},"r":{ctx.r},"rprime":{ctx.rprime}}}\n',
-            args.out,
-        )
+        _emit(_idempotents_json(ctx, entries), args.out)
     else:
-        lines = []
-        memo: dict = {}
-        for name, e in entries:
-            lines.append(f"label {name}:")
-            lines.extend("  " + ln for ln in format_element(e, memo).splitlines())
-        lines.append(f"count: {len(entries)}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_idempotents_text(entries), args.out)
     if args.out is not None:
         _emit(f"{len(entries)} idempotents written to {args.out}\n", None)
     return EXIT_OK

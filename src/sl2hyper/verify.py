@@ -201,7 +201,9 @@ def _check_mu_projectors(ctx: AlgebraCtx) -> CheckResult:
     p, ps = ctx.p, ctx.p**ctx.r
     mus = [weight_projector(a, ctx.r, ctx) for a in range(ps)]
     bad = [f"projector {a} not in the torus" for a, mu in enumerate(mus) if mu.terms.keys() - {(0, 0)}]
-    f = np.array([mu.terms.get((0, 0), np.zeros(ctx.q, dtype=np.int64)) for mu in mus])
+    # widened: the stored factors are int16, and f * f overflows it once p >= 182
+    zeros = np.zeros(ctx.q, dtype=np.int64)
+    f = np.array([mu.terms.get((0, 0), zeros) for mu in mus], dtype=np.int64)
     bad += [f"projector {a} not idempotent" for a in np.flatnonzero((f * f % p != f).any(axis=1))]
     support = f != 0
     overlap = np.triu(support @ support.T, 1)

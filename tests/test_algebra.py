@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import random
 import tracemalloc
 
@@ -180,8 +181,8 @@ def product_per_pair(u, v):
     acc = {}
     for (m1, m1p), f1 in u.terms.items():
         for (m2, m2p), f2 in v.terms.items():
-            # h(w) = f1(w - 2m2) f2(w - 2m1')
-            h = np.roll(f1, 2 * m2) * np.roll(f2, 2 * m1p) % p
+            # h(w) = f1(w - 2m2) f2(w - 2m1'), widened from the int16 storage
+            h = np.roll(f1.astype(np.int64), 2 * m2) * np.roll(f2, 2 * m1p) % p
             if not h.any():
                 continue
             for i in range(min(m1p, m2) + 1):
@@ -677,6 +678,9 @@ def assert_finished(u):
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert all(0 <= v.min() and v.max() < ctx.p and v.any() for v in u.terms.values())
     assert u._block.tolist() == [v.tolist() for v in u.terms.values()]
+    # int16 storage (storage lemma): the rows are views of the one block
+    assert u._block.dtype == np.int16
+    assert all(v.base is u._block for v in u.terms.values())
     with pytest.raises(ValueError):
         u._block.setflags(write=True)
     if u.is_zero():
@@ -840,3 +844,124 @@ def test_from_weight_coords_zero_and_errors():
     for nu in (-1, 27, 28):
         with pytest.raises(ValueError, match="out of range 0..26"):
             from_weight_coords(ctx, nu, [1] * 9)
+
+
+# Overflow: the blocks are stored as int16, where (p - 1)**2 overflows once
+# p >= 182.  At p = 251 and 257 (r = rprime = 1) every product of two stored
+# entries leaves int16, so arithmetic that skipped the widening to int64
+# would wrap; the references below use Python ints only.
+WIDE_CTXS = [AlgebraCtx(251, 1, 1), AlgebraCtx(257, 1, 1)]
+
+
+def wide_elem(rng, ctx, nterms=4):
+    # dense torus factors with entries up to p - 1; small and large exponents
+    keys = {(rng.randrange(ctx.p // 4), rng.randrange(ctx.p)) for _ in range(nterms)}
+    keys |= {(rng.randrange(ctx.p), rng.randrange(ctx.p // 4)) for _ in range(nterms)}
+    return HyperElem(ctx, {k: [rng.randrange(ctx.p) for _ in range(ctx.q)] for k in keys})
+
+
+def int_terms(u):
+    return {k: [int(x) for x in f.tolist()] for k, f in u.terms.items()}
+
+
+def int_product(u, v):
+    # the product formula of the module docstring in Python ints, binomials
+    # by math.comb: Y^(m1+m2-i) mid X^(m1'+m2'-i) for i <= min(m1', m2), with
+    # mid(w) = f1(w + 2i - 2m2) f2(w + 2i - 2m1') C(w - m1' - m2 + 2i, i) k
+    ctx = u.ctx
+    p, q = ctx.p, ctx.q
+    acc = {}
+    for (m1, m1p), f1 in int_terms(u).items():
+        for (m2, m2p), f2 in int_terms(v).items():
+            for i in range(min(m1p, m2) + 1):
+                mm, mmp = m1 + m2 - i, m1p + m2p - i
+                k = math.comb(mm, m1) * math.comb(mmp, m2p) % p
+                if k == 0:
+                    continue
+                row = acc.setdefault((mm, mmp), [0] * q)
+                c = m1p + m2 - 2 * i
+                for w in range(q):
+                    h = f1[(w + 2 * i - 2 * m2) % q] * f2[(w + 2 * i - 2 * m1p) % q]
+                    row[w] += h * math.comb((w - c) % q, i) * k
+    out = {key: [x % p for x in row] for key, row in acc.items()}
+    return {key: row for key, row in out.items() if any(row)}
+
+
+@pytest.mark.parametrize("ctx", WIDE_CTXS, ids=str)
+def test_products_do_not_overflow_int16(ctx):
+    rng = random.Random(SEED)
+    u, v = wide_elem(rng, ctx), wide_elem(rng, ctx)
+    pairs = [(u, v), (v, u), (u, u)]
+    want = [int_product(a, b) for a, b in pairs]
+    assert max(max(row) for row in want[0].values()) > 181
+    got = products(pairs)
+    assert [int_terms(w) for w in got] == want
+    assert int_terms(u * v) == want[0]
+    for w in got:
+        assert_finished(w)
+
+
+@pytest.mark.parametrize("ctx", WIDE_CTXS, ids=str)
+def test_linear_operations_do_not_overflow_int16(ctx):
+    rng = random.Random(SEED + 1)
+    p = ctx.p
+    u, v = wide_elem(rng, ctx), wide_elem(rng, ctx)
+    fu, fv = int_terms(u), int_terms(v)
+    for scalar in (p - 1, np.int64(p - 2), -(p - 1), 2 * p - 1):
+        want = {k: [x * int(scalar) % p for x in f] for k, f in fu.items()}
+        assert int_terms(u * scalar) == want == int_terms(scalar * u)
+    assert int_terms(-u) == {k: [-x % p for x in f] for k, f in fu.items()}
+    total = {k: f[:] for k, f in fu.items()}
+    for k, f in fv.items():
+        total[k] = [(a + b) % p for a, b in zip(total.get(k, [0] * ctx.q), f)]
+    assert int_terms(u + v) == total
+    assert int_terms(u - u * (p - 1)) == {k: [2 * x % p for x in f] for k, f in fu.items()}
+    for w in (u * (p - 1), -u, u + v):
+        assert_finished(w)
+
+
+@pytest.mark.parametrize("ctx", WIDE_CTXS, ids=str)
+def test_weyl_action_is_multiplicative_without_overflow(ctx):
+    rng = random.Random(SEED + 2)
+    u, v = wide_elem(rng, ctx, 3), wide_elem(rng, ctx, 3)
+    uv = u * v
+    for lam in (ctx.p - 1, ctx.p + 40):
+        assert np.array_equal(weyl_action(uv, lam), weyl_action(u, lam) @ weyl_action(v, lam) % ctx.p)
+
+
+def test_frobenius_round_trip_at_the_largest_liftable_prime():
+    # fr_prime needs the context (p, r + 1, rprime + 1), so p**2 <= 4096: at
+    # p = 251 there is none, and 61 is the largest prime with one
+    ctx = AlgebraCtx(61, 1, 1)
+    p = ctx.p
+    u = wide_elem(random.Random(SEED + 3), ctx)
+    lifted = fr_prime(u)
+    assert int_terms(lifted) == {
+        (m * p, mp * p): [f[w // p] for w in range(p * p)] for (m, mp), f in int_terms(u).items()
+    }
+    assert fr(lifted) == u and int_terms(fr(lifted)) == int_terms(u)
+    for w in (lifted, fr(lifted)):
+        assert_finished(w)
+
+
+@pytest.mark.parametrize("ctx", WIDE_CTXS, ids=str)
+def test_every_constructor_stores_int16_views(ctx):
+    rng = random.Random(SEED + 4)
+    u = wide_elem(rng, ctx)
+    x = [rng.randrange(ctx.p) for _ in range(ctx.xy_range)]
+    built = [
+        u,
+        zero(ctx),
+        one(ctx),
+        gen_x(ctx.p - 1, ctx),
+        gen_y(3, ctx),
+        gen_h_binom(ctx.q - 1, ctx),
+        pbw_elem(2, 5, 7, ctx),
+        from_weight_coords(ctx, 7, x),
+        element_from_json(element_to_json(u)),
+        embed(u, ctx),
+        *degree_decompose(u).values(),
+    ]
+    for w in built:
+        assert_finished(w)
+    assert weight_coords(from_weight_coords(ctx, 7, x))[1].tolist() == x

@@ -77,6 +77,55 @@ def test_json_writer_matches_payload_dumps(capsys, tmp_path, p, r, rprime):
     assert code == 0 and path.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("p, r, rprime", [(3, 4, 4), (5, 2, 3)], ids=str)
+def test_entry_json_is_the_dump_of_its_entry(p, r, rprime):
+    # one shared memo across all entries, keyed by the bytes of each factor
+    ctx = AlgebraCtx(p, r, rprime)
+    rows: dict = {}
+    for lb in enumerate_labels(ctx):
+        name, e = format_label(lb), tuple_idempotent(lb, ctx)
+        want = cli._json_dumps({"element": element_to_json(e), "label": name})
+        assert cli._entry_json(name, e, rows) + "\n" == want
+    assert len(rows) < sum(len(tuple_idempotent(lb, ctx).terms) for lb in enumerate_labels(ctx))
+
+
+# Peak of the Python heap (tracemalloc, numpy's buffers included) while
+# `idempotents` at (3,3,3) runs in a fresh interpreter, stdout on a sink that
+# counts bytes.  Before int16 storage and the streamed write the peaks were
+# 1,673,680 B (JSON) and 2,016,611 B (text); after, 897,313 B and 908,272 B.
+_TRACE_PEAK = """
+import sys, tracemalloc
+from sl2hyper.cli import main
+
+class Sink:
+    n = 0
+    def write(self, text):
+        self.n += len(text)
+    def flush(self):
+        pass
+
+real, sys.stdout = sys.stdout, Sink()
+tracemalloc.start()
+code = main(sys.argv[1:])
+peak = tracemalloc.get_traced_memory()[1]
+n, sys.stdout = sys.stdout.n, real
+print(code, n, peak)
+"""
+
+
+@pytest.mark.parametrize("fmt, nbytes, bound", [("json", 205010, 1_300_000), ("text", 207238, 1_450_000)])
+def test_idempotents_output_memory(fmt, nbytes, bound):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    argv = ["idempotents", "--p", "3", "--r", "3", "--format", fmt]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACE_PEAK, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    code, written, peak = map(int, proc.stdout.split())
+    assert (code, written) == (0, nbytes)
+    assert peak < bound, peak
+
+
 def test_byte_determinism(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -277,15 +326,13 @@ _PYIO_STDOUT = (
 )
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
-@pytest.mark.parametrize("stack", ["", _PYIO_STDOUT], ids=["io", "pyio"])
-def test_dev_full_subprocess(stack):
+def _exit_on_dev_full(stack, argv):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     code = stack + "from sl2hyper.cli import main; sys.exit(main())"
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys; " + code, "verify", "--p", "2", "--r", "1"],
+            [sys.executable, "-c", "import sys; " + code, *argv],
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
@@ -293,3 +340,17 @@ def test_dev_full_subprocess(stack):
         )
     assert proc.returncode == 2
     assert proc.stderr == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("stack", ["", _PYIO_STDOUT], ids=["io", "pyio"])
+def test_dev_full_subprocess(stack):
+    _exit_on_dev_full(stack, ["verify", "--p", "2", "--r", "1"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("stack", ["", _PYIO_STDOUT], ids=["io", "pyio"])
+def test_dev_full_subprocess_streamed(stack):
+    # the streamed JSON (10,673 bytes, more than one 8 KiB buffer) fails part
+    # way, in a piece after the first
+    _exit_on_dev_full(stack, ["idempotents", "--p", "3", "--r", "2", "--format", "json"])

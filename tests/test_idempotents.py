@@ -422,6 +422,15 @@ def test_term_arrays_cannot_be_made_writeable():
     assert tuple_idempotent(label, ctx) * e == e
 
 
+def test_idempotent_blocks_are_int16():
+    # 28,561 rows of q = 81 entries at (3,4,4), two bytes each: int64 blocks
+    # would take four times as much
+    ctx = AlgebraCtx(3, 4, 4)
+    es = [tuple_idempotent(lb, ctx) for lb in enumerate_labels(ctx)]
+    assert sum(len(e.terms) for e in es) == 28_561
+    assert sum(e._block.nbytes for e in es) == 28_561 * 81 * 2
+
+
 def test_terms_mapping_is_read_only():
     # nor can a caller add, replace or delete a term of a cached idempotent
     ctx = AlgebraCtx(2, 1, 1)

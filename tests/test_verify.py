@@ -400,6 +400,19 @@ def test_broken_weight_projectors_fail(monkeypatch):
         assert detail in res.detail.split("; ")
 
 
+def test_weight_projectors_at_primes_past_int16_squares(monkeypatch):
+    # at p = 251, (p - 1)**2 leaves int16, the storage dtype of the factors
+    assert verify._check_mu_projectors(AlgebraCtx(251, 1, 1)).passed
+    # at p = 271, 206 * 206 wraps in int16 to a value = 206 mod p, so only a
+    # square formed in int64 shows that an entry 206 is not idempotent
+    ctx = AlgebraCtx(271, 1, 1)
+    real = verify.weight_projector
+    scaled = 206 * real(7, 1, ctx)
+    monkeypatch.setattr(verify, "weight_projector", lambda a, s, c: scaled if a == 7 else real(a, s, c))
+    res = verify._check_mu_projectors(ctx)
+    assert res.passed is False and "projector 7 not idempotent" in res.detail.split("; ")
+
+
 def test_weight_projector_outside_the_torus_fails(monkeypatch):
     # the pointwise lemma reads (0, 0) factors, so any other term is a failure
     ctx = AlgebraCtx(3, 1, 2)
