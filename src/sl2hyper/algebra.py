@@ -64,10 +64,13 @@ supports are disjoint needs no test: its contributions are zero rows, and
 a slot that gets nothing else is a zero row, which `_finish` drops.
 
 A pass ends after the pair with which its contributions times q reach
-`PASS_ENTRIES` (2**14); one pair is never split.  The bound keeps a pass's
-index and gather arrays (about 48 bytes per entry) under a MiB when many
-small products share it, whatever the batch's length.  The products of one
-pass share one read-only buffer, so a kept product keeps that buffer alive.
+`PASS_ENTRIES` (2**14), so passes end between pairs.  Inside a pass the
+gathers, products and `np.add.at` run in chunks of at most
+max(1, `PASS_ENTRIES` // q) contributions, all into the pass's one
+accumulator.  So a pass's index and gather arrays (about 48 bytes per
+entry) stay under a MiB whatever the batch's length, and also when one
+large product fills a pass alone.  The products of one pass share one
+read-only buffer, so a kept product keeps that buffer alive.
 """
 
 from __future__ import annotations
@@ -118,7 +121,8 @@ _STORE = np.int16
 assert _MAX_Q < 2**15
 
 # A pass of the product kernel ends once its contributions times q reach
-# this many entries (module docstring).
+# this many entries, and its gathers run in chunks of at most this many
+# entries (module docstring).
 PASS_ENTRIES = 1 << 14
 
 
@@ -383,7 +387,7 @@ def _products(pairs: list) -> list[HyperElem]:
         keys = sorted(slots)
         runs.append(keys)
         order += [base + slots[key] for key in keys]
-        # the bound is checked between pairs: one pair is never split
+        # the bound is checked between pairs; `_kernel_pass` chunks a large pair
         if len(rows) * q >= 8 * PASS_ENTRIES:
             out += _kernel_pass(ctx, blocks, rows, order, runs)
             rows, order, runs, offsets, blocks, size = [], [], [], {}, [], 0
@@ -398,22 +402,26 @@ def _kernel_pass(ctx: AlgebraCtx, blocks: list, rows: list, order: list, runs: l
         return [zero(ctx)] * len(runs)
     p, q, n = ctx.p, ctx.q, ctx.xy_range
     cols = np.array(rows, dtype=np.int64).reshape(-1, 8).T
-    # flat indices of f1(w + s1), f2(w + s2) and C((w + s3) % p**r, i), all w at once
-    idx = cols[:3, :, None] + np.arange(q)
-    idx[:2] %= q
-    idx[2] %= n
-    idx[2] *= n
-    idx += cols[3:6, :, None]
     # exact in int64: four factors below p < 2**12 multiply to less than
     # 2**48, and a slot sums at most one row per term pair of its pair, so
     # at most q**4 <= 2**48 rows below p; the int16 blocks are widened here
     src = np.concatenate(blocks, dtype=np.int64).ravel()
-    mid = src[idx[0]] * src[idx[1]]
-    mid *= ctx.pascal.ravel()[idx[2]]
-    mid *= cols[6, :, None]
-    mid %= p
+    pas = ctx.pascal.ravel()
     acc = np.zeros((len(order), q), dtype=np.int64)
-    np.add.at(acc, cols[7], mid)
+    step = max(1, PASS_ENTRIES // q)  # contributions per chunk (module docstring)
+    for lo in range(0, cols.shape[1], step):
+        chunk = cols[:, lo : lo + step]
+        # flat indices of f1(w + s1), f2(w + s2) and C((w + s3) % p**r, i), all w at once
+        idx = chunk[:3, :, None] + np.arange(q)
+        idx[:2] %= q
+        idx[2] %= n
+        idx[2] *= n
+        idx += chunk[3:6, :, None]
+        mid = src[idx[0]] * src[idx[1]]
+        mid *= pas[idx[2]]
+        mid *= chunk[6, :, None]
+        mid %= p
+        np.add.at(acc, chunk[7], mid)
     acc = acc.take(order, axis=0)
     acc %= p
     # `_finish` drops zero rows (disjoint supports, or sums that cancel)

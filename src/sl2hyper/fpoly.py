@@ -230,18 +230,23 @@ def to_yx_power_basis(f: Poly, a: int) -> tuple[int, ...]:
     """Coefficients of f (degree <= p-1) in the yx_power_poly(a, m) basis.
 
     Unitriangular back-substitution: the basis element of index m is monic
-    of degree exactly m.
+    of degree exactly m.  The basis is built in one ascending pass, each
+    step product the previous one times its next linear factor, so the
+    whole change of basis is O(p**2).
     """
     p = f.p
     if f.degree > p - 1:
         raise ValueError("degree must be at most p-1")
+    steps = [Poly.one(p)]
+    for i in range(p - 1):
+        steps.append(steps[-1] * Poly((-(i * (i + a + 1)), 1), p))
     out = [0] * p
     rem = f
     for m in range(p - 1, -1, -1):
         c = rem.coeffs[m] if rem.degree >= m else 0
         out[m] = c
         if c:
-            rem = rem - c * yx_power_poly(a, m, p)
+            rem = rem - c * steps[m]
     assert not rem, "back-substitution must terminate exactly"
     return tuple(out)
 

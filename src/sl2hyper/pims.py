@@ -14,11 +14,17 @@ Products keep the degree m' - m, so for homogeneous e
 
     A e = (+)_d span{Y^(a) X^(a+d) e},   dim A e = sum_d rank_p(block d),
 
-which needs only the p**r products X^(b) e; Y^(a) acts on their
-coordinates.  The same products give the top X exponent, the largest b
+which needs only the p**r elements X^(b) e; Y^(a) acts on their
+coordinates.  The same elements give the top X exponent, the largest b
 with X^(b) e nonzero, so pim_rows reads weight, dimension and top X in one
 pass.  left_ideal_span (the closure under the algebra generators) and
 top_x_exponent stay public as its oracles; the weight is read from supports.
+
+All p**r elements come from one product, by the *grading lemma*.  Let
+S = sum_{b < p**r} X^(b).  X^(b) has degree b and a product adds degrees
+m' - m, so for homogeneous e of degree d0 the degree-(d0 + b) terms of S e
+are exactly X^(b) e.  Different b give disjoint keys, so nothing cancels,
+and the top X exponent is the largest b present.
 
 IdealBasis.add_coords is the package's one row reduction over F_p: the
 degree blocks above, left-ideal spans and the split-product rank in verify
@@ -182,26 +188,39 @@ def left_ideal_dim(e: HyperElem) -> int:
     span{Y^(a) X^(a+d) e}, so its dimension is the sum of the block ranks.
     Raises ValueError outside the lemma's hypotheses.
     """
-    return _ideal_pass(e)[1]
+    return _ideal_pass(e, _x_sum(e.ctx))[1]
 
 
-def _ideal_pass(e: HyperElem) -> tuple[int, int, int]:
-    """(weight, dim A e, top X exponent) of e from one pass over the X^(b) e."""
+def _x_sum(ctx: AlgebraCtx) -> HyperElem:
+    """S = sum_{b < p**r} X^(b), the left factor of the grading lemma."""
+    ones = np.ones(ctx.q, dtype=np.int64)
+    return HyperElem(ctx, {(0, b): ones for b in range(ctx.xy_range)})
+
+
+def _ideal_pass(e: HyperElem, xsum: HyperElem) -> tuple[int, int, int]:
+    """(weight, dim A e, top X exponent) of e from one product S e, where
+    xsum is S = _x_sum(e.ctx).
+
+    Grading lemma (module docstring): the degree-(d0 + b) terms of S e are
+    X^(b) e, so one coordinate read of S e, grouped by b, gives every X^(b) e.
+    """
     nu = weight_of_idempotent(e)  # raises unless e is a nonzero left weight vector
-    if len({mp_ - m for m, mp_ in e.terms}) != 1:
+    degrees = {mp_ - m for m, mp_ in e.terms}
+    if len(degrees) != 1:
         raise ValueError("element is not homogeneous")
+    (d0,) = degrees
     ctx = e.ctx
-    p, nmax = ctx.p, ctx.xy_range
-    stride = nmax * ctx.q  # coordinate step from Y^(m) to Y^(m+1)
+    p, q, nmax = ctx.p, ctx.q, ctx.xy_range
+    stride = nmax * q  # coordinate step from Y^(m) to Y^(m+1)
     pas = ctx.pascal.tolist()
+    # coordinate idx of Y^(m) C(H,n) X^(m') lies in X^(b) e for b = m' - m - d0
+    by_b: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for idx, val in _elem_coords(xsum * e).items():
+        m, mp_ = divmod(idx // q, nmax)
+        by_b.setdefault(mp_ - m - d0, {}).setdefault(m, []).append((idx, val))
     blocks: dict[int, IdealBasis] = {}
-    top = 0
-    for b in range(nmax):
-        by_m: dict[int, list[tuple[int, int]]] = {}
-        for idx, val in _elem_coords(gen_x(b, ctx) * e).items():
-            by_m.setdefault(idx // stride, []).append((idx, val))
-        if by_m:
-            top = b  # the largest b with X^(b) e nonzero, as top_x_exponent finds
+    for b in sorted(by_b):
+        by_m = by_b[b]  # the coordinates of X^(b) e, by their Y exponent m
         for a in range(nmax):
             # Y^(a) Y^(m) C(H,n) X^(m') = C(a+m, a) Y^(a+m) C(H,n) X^(m'); the
             # entry drops when a + m >= p**r, where Kummer gives C(a+m, a) = 0
@@ -215,7 +234,8 @@ def _ideal_pass(e: HyperElem) -> tuple[int, int, int]:
             if row:
                 # the block of Y^(a) X^(b) e, by degree relative to e
                 blocks.setdefault(b - a, IdealBasis()).add_coords(row, p)
-    return nu, sum(basis.dim for basis in blocks.values()), top
+    # the largest b with X^(b) e nonzero, as top_x_exponent finds (X^(0) e = e)
+    return nu, sum(basis.dim for basis in blocks.values()), max(by_b)
 
 
 @dataclass(frozen=True)
@@ -284,10 +304,11 @@ def weight_of_idempotent(e: HyperElem) -> int:
 def pim_rows(ctx: AlgebraCtx) -> list[dict]:
     """One verification row per label: predicted vs computed module data."""
     out = []
+    xsum = _x_sum(ctx)
     for label in enumerate_labels(ctx):
         e = tuple_idempotent(label, ctx)
         pl = pim_label_closed_form(label, ctx)
-        nu, dim, t = _ideal_pass(e)
+        nu, dim, t = _ideal_pass(e, xsum)
         ok = (dim, nu, t) == (pl.dim, predicted_weight(label, ctx), predicted_top_x(label, ctx.p))
         out.append(
             {

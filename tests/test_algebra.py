@@ -228,15 +228,25 @@ def sparse_elem(draw, ctx):
 
 # the batched kernel against the per-pair product on sparse draws, which hold
 # many term pairs with disjoint supports, whose zero rows the kernel forms and
-# drops; (2,1,7) has q = 128, the widest rows drawn here
+# drops; (2,1,7) has q = 128, the widest rows drawn here.  A bound of 1 runs
+# the gathers one contribution at a time and 40 a few at a time, so one
+# pair's contributions span many chunks of one pass.
 @pytest.mark.parametrize(
-    "p, r, rprime",
-    [(2, 1, 1), (2, 3, 3), (3, 2, 3), (3, 3, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)],
+    "p, r, rprime, bound",
+    [
+        pytest.param(p, r, rprime, bound, id=f"{p}-{r}-{rprime}" + (f"-bound{bound}" if bound else ""))
+        for bound in (None, 1, 40)
+        for p, r, rprime in [(2, 1, 1), (2, 3, 3), (3, 2, 3), (3, 3, 3), (5, 2, 2), (7, 1, 2), (2, 1, 7)]
+    ],
 )
-def test_kernel_matches_per_pair_products(p, r, rprime):
+def test_kernel_matches_per_pair_products(p, r, rprime, bound, monkeypatch):
     ctx = AlgebraCtx(p, r, rprime)
+    examples = 150
+    if bound is not None:
+        monkeypatch.setattr(algebra, "PASS_ENTRIES", bound)
+        examples = 40  # these cases test the chunking, not the arithmetic
 
-    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=examples, deadline=None, database=None)
     @given(sparse_elem(ctx), sparse_elem(ctx))
     def check(u, v):
         assert u * v == product_per_pair(u, v)

@@ -9,6 +9,7 @@ from sl2hyper import pims
 from sl2hyper.algebra import (
     AlgebraCtx,
     HyperElem,
+    degree_decompose,
     gen_h_binom,
     gen_x,
     gen_y,
@@ -21,6 +22,7 @@ from sl2hyper.idempotents import (
     TupleLabel,
     all_pairs,
     enumerate_labels,
+    format_label,
     level1_idempotent,
     make_pair,
     tuple_idempotent,
@@ -184,9 +186,30 @@ def test_left_ideal_dim_matches_span_on_weight_vectors(e):
     # pim_rows' one pass: its weight against the explicit product mu_nu e = e
     # (the support reader is shared with weight_of_idempotent), its top X
     # against the descending scan
-    nu, _, top = pims._ideal_pass(e)
+    nu, _, top = pims._ideal_pass(e, pims._x_sum(e.ctx))
     assert weight_projector(nu, e.ctx.rprime, e.ctx) * e == e
     assert top == top_x_exponent(e)
+    assert_grading_lemma(e)
+
+
+def assert_grading_lemma(e):
+    # the degree parts of S e, S = sum_b X^(b), are exactly the nonzero
+    # products X^(b) e, each formed on its own as the oracle
+    ctx = e.ctx
+    (d0,) = {mp_ - m for m, mp_ in e.terms}
+    want = {}
+    for b in range(ctx.xy_range):
+        part = gen_x(b, ctx) * e
+        if not part.is_zero():
+            want[d0 + b] = part
+    assert degree_decompose(pims._x_sum(ctx) * e) == want
+
+
+@pytest.mark.parametrize("p,r,rp", ORACLE_CONTEXTS)
+def test_grading_lemma_on_idempotents(p, r, rp):
+    ctx = AlgebraCtx(p, r, rp)
+    for label in enumerate_labels(ctx):
+        assert_grading_lemma(tuple_idempotent(label, ctx))
 
 
 def test_left_ideal_dim_rejects_inputs_outside_the_lemma():
