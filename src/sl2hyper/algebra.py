@@ -27,15 +27,18 @@ coordinates as one block (`idempotents` builds every idempotent by it).
 An element's torus factors are the rows of one (k, q) block, reduced mod
 p in one pass.  The block sits in a read-only bytes buffer that cannot be
 made writeable again, so a shared (cached) element cannot be changed
-through its arrays.  The element keeps the block itself (`_block`) as well
-as the row views in `terms`.  One finishing step, `_finish`, drops the
-zero rows and freezes the block; for a batch of products it freezes them
-all at once and splits the result by product.  A mapping passed to
-`HyperElem` reaches it through `_canon`, which checks each key and vector
-and stacks them; a product, a scalar multiple, a negation, `fr`,
-`fr_prime`, `embed` and the constructors `one`, `gen_x`, `gen_y` and
-`pbw_elem` form their result's block in key order and hand it over
-directly.  `element_to_json` reads the block with one `tolist`.
+through its arrays.  The element stores its sorted keys (`_keys`) and the
+block (`_block`), nothing more: `terms` is a read-only mapping of the keys
+to row views of the block, built on each read.  One finishing step,
+`_finish`, drops the zero rows with their keys and freezes the block; for
+a batch of products it freezes them all at once and splits the result by
+product.  A mapping passed to `HyperElem` reaches it through `_canon`,
+which checks each key and vector and stacks them; a product, a scalar
+multiple, a negation, `fr`, `fr_prime`, `embed` and the constructors
+`one`, `gen_x`, `gen_y` and `pbw_elem` form their result's block in key
+order and hand it over directly.  Inside this module the readers of an
+element's terms read `_keys` and `_block`, not `terms`, and
+`element_to_json` reads the block with one `tolist`.
 
 *Storage lemma.*  Every stored entry lies in [0, p).  Since q = p**rprime <=
 `_MAX_Q` = 4096 and rprime >= 1, p <= 4093 < 2**15, so int16 (`_STORE`)
@@ -177,7 +180,7 @@ class AlgebraCtx:
         return _pascal(self.p, self.xy_range)
 
 
-def _canon(ctx: AlgebraCtx, terms) -> tuple[dict, np.ndarray]:
+def _canon(ctx: AlgebraCtx, terms) -> tuple[tuple, np.ndarray]:
     """Validate a mapping (m, m') -> torus factor, then `_finish` it in key order.
 
     This is the path of dicts built outside the kernel: each key's range and
@@ -201,8 +204,8 @@ def _check_key(ctx: AlgebraCtx, key: tuple[int, int]) -> None:
         raise ValueError(f"exponent pair {key} out of range for {ctx}")
 
 
-def _finish(runs: list[list], block: np.ndarray) -> list[tuple[dict, np.ndarray]]:
-    """Terms and frozen block of each run of rows of `block`, reduced mod p.
+def _finish(runs: list, block: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+    """Keys and frozen block of each run of rows of `block`, reduced mod p.
 
     Run j is the sorted keys runs[j] of the next len(runs[j]) rows.  A zero
     row is dropped with its key, and the kept rows of every run are copied
@@ -221,32 +224,39 @@ def _finish(runs: list[list], block: np.ndarray) -> list[tuple[dict, np.ndarray]
     out = []
     offset = 0
     for keys in runs:
-        if flags is not None:
-            keys = [key for key in keys if next(flags)]
+        keys = tuple(keys if flags is None else (key for key in keys if next(flags)))
         part = np.ndarray((len(keys), width), _STORE, data, offset)
         offset += part.nbytes
-        out.append((dict(zip(keys, part)), part))
+        out.append((keys, part))
     return out
 
 
 class HyperElem:
     """Sparse normal form: maps (m, m') to the torus factor's evaluation vector.
 
-    `terms` is a read-only mapping to the rows of one read-only block,
-    `_block`.  The attributes cannot be rebound or deleted, so the block
-    always holds the terms and a cached element, the shared zero included,
-    cannot be changed in place.
+    The element stores the sorted keys `_keys` and one read-only block
+    `_block`, whose row k is the torus factor of key k; `terms` maps each key
+    to its row, a view of the block.  The attributes cannot be rebound or
+    deleted, so keys and rows cannot drift apart, and a cached element, the
+    shared zero included, cannot be changed in place.
     """
 
-    __slots__ = ("ctx", "terms", "_block")
+    __slots__ = ("ctx", "_keys", "_block")
 
     def __init__(self, ctx: AlgebraCtx, terms):
         self._freeze(ctx, *_canon(ctx, terms))
 
-    def _freeze(self, ctx: AlgebraCtx, terms: dict, block: np.ndarray) -> None:
+    def _freeze(self, ctx: AlgebraCtx, keys: tuple, block: np.ndarray) -> "HyperElem":
         object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "terms", types.MappingProxyType(terms))
+        object.__setattr__(self, "_keys", keys)
         object.__setattr__(self, "_block", block)
+        return self
+
+    @property
+    def terms(self) -> types.MappingProxyType:
+        """Read-only mapping (m, m') -> torus factor, the rows of `_block`
+        as views; built anew on each read, so read it once per use."""
+        return types.MappingProxyType(dict(zip(self._keys, self._block)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"HyperElem is immutable: cannot set {name!r}")
@@ -255,28 +265,28 @@ class HyperElem:
         raise AttributeError(f"HyperElem is immutable: cannot delete {name!r}")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def __eq__(self, other):
         if not isinstance(other, HyperElem):
             return NotImplemented
-        if self.ctx != other.ctx or self.terms.keys() != other.terms.keys():
+        if self.ctx != other.ctx or self._keys != other._keys:
             return False
-        return all(np.array_equal(v, other.terms[k]) for k, v in self.terms.items())
+        return np.array_equal(self._block, other._block)
 
     def __repr__(self) -> str:
-        return f"HyperElem({self.ctx.p},{self.ctx.r},{self.ctx.rprime}; {len(self.terms)} terms)"
+        return f"HyperElem({self.ctx.p},{self.ctx.r},{self.ctx.rprime}; {len(self._keys)} terms)"
 
     def __add__(self, other: "HyperElem") -> "HyperElem":
         self._check(other)
         p = self.ctx.p
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        out = dict(zip(self._keys, self._block))
+        for k, v in zip(other._keys, other._block):
             out[k] = (out[k] + v) % p if k in out else v
         return HyperElem(self.ctx, out)
 
     def __neg__(self) -> "HyperElem":
-        return _from_block(self.ctx, list(self.terms), -self._block % self.ctx.p)
+        return _from_block(self.ctx, self._keys, -self._block % self.ctx.p)
 
     def __sub__(self, other: "HyperElem") -> "HyperElem":
         return self + (-other)
@@ -289,7 +299,7 @@ class HyperElem:
         if isinstance(other, (int, np.integer)):
             p = self.ctx.p
             block = self._block.astype(np.int64) * (int(other) % p)
-            return _from_block(self.ctx, list(self.terms), block % p)
+            return _from_block(self.ctx, self._keys, block % p)
         if not isinstance(other, HyperElem):
             return NotImplemented
         return _products([(self, other)])[0]
@@ -300,24 +310,19 @@ class HyperElem:
         return NotImplemented
 
 
-def _from_block(ctx: AlgebraCtx, keys: list, block: np.ndarray) -> HyperElem:
+def _from_block(ctx: AlgebraCtx, keys, block: np.ndarray) -> HyperElem:
     """The element with sorted in-range `keys` and torus factors the rows of
     `block`, reduced mod p; see `_elements`."""
     return _elements(ctx, [keys], block)[0]
 
 
-def _elements(ctx: AlgebraCtx, runs: list[list], block: np.ndarray) -> list[HyperElem]:
+def _elements(ctx: AlgebraCtx, runs: list, block: np.ndarray) -> list[HyperElem]:
     """One element per run of rows of `block` (see `_finish`), all through
     one `_finish`; an empty result is `zero(ctx)`."""
-    out = []
-    for terms, part in _finish(runs, block):
-        if terms:
-            u = object.__new__(HyperElem)
-            u._freeze(ctx, terms, part)
-        else:
-            u = zero(ctx)
-        out.append(u)
-    return out
+    return [
+        object.__new__(HyperElem)._freeze(ctx, keys, part) if keys else zero(ctx)
+        for keys, part in _finish(runs, block)
+    ]
 
 
 def products(pairs) -> list[HyperElem]:
@@ -361,8 +366,8 @@ def _products(pairs: list) -> list[HyperElem]:
         off1, off2 = offsets[id(u)], offsets[id(v)]
         base = len(order)
         slots: dict[tuple[int, int], int] = {}
-        for row1, (m1, m1p) in enumerate(u.terms):
-            for row2, (m2, m2p) in enumerate(v.terms):
+        for row1, (m1, m1p) in enumerate(u._keys):
+            for row2, (m2, m2p) in enumerate(v._keys):
                 # Kummer bound: below it m1 + (m2 - i) or m2' + (m1' - i)
                 # carries out of the top base-p digit, so k = 0 mod p
                 lo = max(0, m1 + m2 - nmax + 1, m1p + m2p - nmax + 1)
@@ -485,7 +490,7 @@ def shift_weightfn(f: np.ndarray, s: int, ctx: AlgebraCtx) -> np.ndarray:
 def degree_decompose(u: HyperElem) -> dict[int, HyperElem]:
     """Split u by degree d = m' - m; the parts sum back to u."""
     parts: dict[int, dict] = {}
-    for (m, mp_), f in u.terms.items():
+    for (m, mp_), f in zip(u._keys, u._block):
         parts.setdefault(mp_ - m, {})[(m, mp_)] = f
     return {d: HyperElem(u.ctx, t) for d, t in sorted(parts.items())}
 
@@ -500,7 +505,7 @@ def left_weight(e: HyperElem) -> tuple[int, np.ndarray]:
     if e.is_zero():
         raise ValueError("is zero")
     block, q = e._block, e.ctx.q
-    ms = np.array([m for m, _ in e.terms])
+    ms = np.array([m for m, _ in e._keys])
     at = (int(block[0].argmax()) + 2 * (ms - ms[0])) % q
     c = block[np.arange(len(ms)), at]
     # argmax finds row 0's nonzero entry when it is the only one, as required
@@ -512,12 +517,12 @@ def left_weight(e: HyperElem) -> tuple[int, np.ndarray]:
 def weight_coords(e: HyperElem) -> tuple[int, np.ndarray]:
     """(nu, x) with e = sum_m x[m] beta_m in B_nu (weight-space lemma); raises
     ValueError unless e has degree 0 and `left_weight` reads it."""
-    for m, mp_ in e.terms:
+    for m, mp_ in e._keys:
         if m != mp_:
             raise ValueError(f"has a term of degree {mp_ - m}")
     nu, c = left_weight(e)
     x = np.zeros(e.ctx.xy_range, dtype=np.int64)
-    x[[m for m, _ in e.terms]] = c
+    x[[m for m, _ in e._keys]] = c
     return nu, x
 
 
@@ -584,7 +589,7 @@ def fr(u: HyperElem) -> HyperElem:
     tgt = AlgebraCtx(p, ctx.r - 1, ctx.rprime - 1)
     # row -> new key; dividing by p keeps the kept keys in order
     kept = {
-        row: (m // p, mp_ // p) for row, (m, mp_) in enumerate(u.terms) if not (m % p or mp_ % p)
+        row: (m // p, mp_ // p) for row, (m, mp_) in enumerate(u._keys) if not (m % p or mp_ % p)
     }
     return _from_block(tgt, list(kept.values()), u._block[list(kept), ::p])
 
@@ -598,7 +603,7 @@ def fr_prime(u: HyperElem) -> HyperElem:
     ctx = u.ctx
     p = ctx.p
     tgt = AlgebraCtx(p, ctx.r + 1, ctx.rprime + 1)
-    keys = [(m * p, mp_ * p) for m, mp_ in u.terms]
+    keys = [(m * p, mp_ * p) for m, mp_ in u._keys]
     return _from_block(tgt, keys, np.repeat(u._block, p, axis=1))
 
 
@@ -610,7 +615,7 @@ def embed(u: HyperElem, target: AlgebraCtx) -> HyperElem:
     if target == ctx:
         return u
     reps = target.p ** (target.rprime - ctx.rprime)
-    return _from_block(target, list(u.terms), np.tile(u._block, (1, reps)))
+    return _from_block(target, u._keys, np.tile(u._block, (1, reps)))
 
 
 def element_to_json(u: HyperElem) -> dict:
@@ -624,7 +629,7 @@ def element_to_json(u: HyperElem) -> dict:
         "rprime": u.ctx.rprime,
         "terms": [
             {"yexp": m, "xexp": mp_, "h_eval": row}
-            for (m, mp_), row in zip(u.terms, u._block.tolist())
+            for (m, mp_), row in zip(u._keys, u._block.tolist())
         ],
     }
 
@@ -692,7 +697,7 @@ def format_element(u: HyperElem, memo: dict | None = None) -> str:
     if memo is None:
         memo = {}
     lines = []
-    for (m, mp_), f in u.terms.items():
+    for (m, mp_), f in zip(u._keys, u._block):
         mid = memo.get(key := f.tobytes())
         if mid is None:
             mid = memo[key] = _format_weightfn(f, u.ctx)

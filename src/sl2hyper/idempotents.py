@@ -289,9 +289,9 @@ def xy_expansion(e: HyperElem, a: int) -> ProductExpansion:
     p = ctx.p
     mu_a = weight_projector(a, 1, ctx)
     coeffs = [0] * p
-    rem = e
+    rem, terms = e, e.terms
     for m in range(p - 1, -1, -1):
-        f = rem.terms.get((m, m))
+        f = terms.get((m, m))
         if f is None:
             continue
         lam = (a + 2 * m) % p
@@ -300,6 +300,7 @@ def xy_expansion(e: HyperElem, a: int) -> ProductExpansion:
         coeffs[m] = cm
         if cm:
             rem = rem - cm * (mu_a * x_power(m, ctx) * y_power(m, ctx))
+            terms = rem.terms
     if not rem.is_zero():
         raise ValueError("element is not a combination of the X^m Y^m products")
     return _expansion(a % p, "xy", coeffs)

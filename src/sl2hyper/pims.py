@@ -140,8 +140,9 @@ def _elem_coords(v: HyperElem) -> dict[int, int]:
     if v.is_zero():
         return {}
     ctx = v.ctx
-    c = weightfn_to_coeffs(np.stack(list(v.terms.values())), ctx)
-    base = np.array([(m * ctx.xy_range + mp_) * ctx.q for m, mp_ in v.terms])
+    keys, rows = zip(*v.terms.items())
+    c = weightfn_to_coeffs(np.stack(rows), ctx)
+    base = np.array([(m * ctx.xy_range + mp_) * ctx.q for m, mp_ in keys])
     k, n = np.nonzero(c)
     return dict(zip((base[k] + n).tolist(), c[k, n].tolist()))
 

@@ -207,11 +207,11 @@ def _rand_elem(rng: random.Random, ctx: AlgebraCtx, nterms: int = 3) -> HyperEle
 def _check_mu_projectors(ctx: AlgebraCtx) -> tuple[list[str], str]:
     # pointwise lemma (module docstring): the (0, 0) factors are read, not multiplied
     p, ps = ctx.p, ctx.p**ctx.r
-    mus = [weight_projector(a, ctx.r, ctx) for a in range(ps)]
-    bad = [f"projector {a} not in the torus" for a, mu in enumerate(mus) if mu.terms.keys() - {(0, 0)}]
+    terms = [weight_projector(a, ctx.r, ctx).terms for a in range(ps)]
+    bad = [f"projector {a} not in the torus" for a, t in enumerate(terms) if t.keys() - {(0, 0)}]
     # widened: the stored factors are int16, and f * f overflows it once p >= 182
     zeros = np.zeros(ctx.q, dtype=np.int64)
-    f = np.array([mu.terms.get((0, 0), zeros) for mu in mus], dtype=np.int64)
+    f = np.array([t.get((0, 0), zeros) for t in terms], dtype=np.int64)
     bad += [f"projector {a} not idempotent" for a in np.flatnonzero((f * f % p != f).any(axis=1))]
     support = f != 0
     overlap = np.triu(support @ support.T, 1)

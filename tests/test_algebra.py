@@ -778,6 +778,71 @@ def test_embed_commutes_with_fr_prime(elems):
         assert fr_prime(embed(u, target)) == embed(fr_prime(u), lifted)
 
 
+def test_equality_needs_equal_contexts():
+    # (3,1,2) and (3,2,2) share q = 9: their ones have equal keys and equal
+    # blocks, and still lie in different algebras
+    small, large = AlgebraCtx(3, 1, 2), AlgebraCtx(3, 2, 2)
+    u, v = one(small), one(large)
+    assert list(u.terms) == list(v.terms)
+    assert np.array_equal(u.terms[(0, 0)], v.terms[(0, 0)])
+    assert u != v and v != u
+    assert embed(u, large) == v
+
+
+def test_equality_sees_one_entry():
+    # equal keys, blocks that differ in one entry of one row
+    ctx = AlgebraCtx(3, 1, 2)
+    rows = np.arange(2 * ctx.q, dtype=np.int64).reshape(2, ctx.q) % 3 + 1
+    u = HyperElem(ctx, {(0, 1): rows[0], (1, 0): rows[1]})
+    for k in range(2):
+        for w in (0, ctx.q - 1):
+            changed = rows.copy()
+            changed[k, w] = changed[k, w] % 3 + 1
+            v = HyperElem(ctx, {(0, 1): changed[0], (1, 0): changed[1]})
+            assert list(v.terms) == list(u.terms)
+            assert u != v and v != u
+    assert u == HyperElem(ctx, {(1, 0): rows[1], (0, 1): rows[0]})
+
+
+@PROPERTY
+@given(st.sampled_from(SMALL_CTXS).flatmap(dense_elem))
+def test_equality_survives_rebuilding_from_terms(u):
+    assert u == HyperElem(u.ctx, dict(u.terms))
+
+
+def test_elements_hold_keys_and_block_alone():
+    # an element stores its keys and one block; a read of `terms` builds the
+    # mapping of row views, so holding a family costs its blocks and keys
+    # alone (about 94 bytes a row at (5,2,2), where a dict of row views
+    # cost about 240).  The cache is cleared so that the family is built
+    # here, whatever ran before.
+    assert HyperElem.__slots__ == ("ctx", "_keys", "_block")
+    ctx = AlgebraCtx(5, 2, 2)
+    labels = enumerate_labels(ctx)
+    tuple_idempotent.cache_clear()
+    tracemalloc.start()
+    try:
+        es = [tuple_idempotent(lb, ctx) for lb in labels]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    rows = sum(len(e.terms) for e in es)
+    assert rows == 2916
+    assert held <= sum(e._block.nbytes for e in es) + 160 * rows
+    e = es[-1]
+    first, second = e.terms, e.terms
+    assert first is not second and list(first) == list(second)
+    assert all(np.array_equal(first[key], second[key]) for key in first)
+    for t in (first, second):
+        assert all(v.base is e._block and v.dtype == np.int16 for v in t.values())
+        key, vec = next(iter(t.items()))
+        with pytest.raises(TypeError):
+            t[key] = vec
+        with pytest.raises(ValueError):
+            vec[0] = 1
+    assert e == tuple_idempotent(labels[-1], ctx)
+
+
 def fr_via_coeffs(u):
     # the Frobenius map through the binomial basis: C(H, n) |-> C(H, n/p)
     # when p | n, else 0

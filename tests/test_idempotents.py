@@ -449,8 +449,8 @@ def test_terms_mapping_is_read_only():
 
 
 def test_attributes_cannot_be_rebound():
-    # rebinding ctx, terms or the block of a cached idempotent would change
-    # the cache entry, or leave the block describing other terms
+    # rebinding ctx, terms, the keys or the block of a cached idempotent
+    # would change the cache entry, or leave the keys naming other rows
     ctx = AlgebraCtx(3, 1, 2)
     label = enumerate_labels(ctx)[0]
     e = tuple_idempotent(label, ctx)
@@ -459,6 +459,7 @@ def test_attributes_cannot_be_rebound():
     for name, value in [
         ("ctx", AlgebraCtx(3, 2, 2)),
         ("terms", dict(gen_x(1, ctx).terms)),
+        ("_keys", gen_x(1, ctx)._keys),
         ("_block", gen_x(1, ctx)._block),
     ]:
         with pytest.raises(AttributeError):

@@ -44,7 +44,7 @@ def _private_attributes(source: str, where: str) -> list[str]:
 
 
 def test_element_layout_stays_in_algebra():
-    # HyperElem's private state (`_block`) is read by algebra alone
+    # HyperElem's private state (`_keys`, `_block`) is read by algebra alone
     assert _private_attributes("u._block.ravel()\nself._check(v)", "x") == ["x:1 uses ._block"]
     hits = []
     for path in sorted((ROOT / "src" / "sl2hyper").glob("*.py")):
