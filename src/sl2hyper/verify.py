@@ -98,6 +98,38 @@ of polynomials in z, and C(p**s, j) = 0 mod p for 0 < j < p**s (Lucas);
 C(z, k) = (-1)**k C(k - z - 1, k) for z < 0.  So each depth s needs one
 row of p**s binomials, not one per weight and projector.
 
+`frobenius-splitting-roundtrip` rests on the *digit-probe lemma*.
+
+* Premise.  fr and fr' act on positions only.  A position is a pair
+  (key, w) of a key (m, m') with m, m' < p**r and a weight w < q.  fr'
+  sends key (m, m') to (pm, pm') and gives it the row g(w) = f(w // p)
+  (`np.repeat`); fr keeps the keys that p divides, sends them to
+  (m/p, m'/p) and reads the row f(pw) (`[::p]`); both end in `_finish`,
+  which reduces mod p and drops zero rows.  So fr fr' moves the term at
+  key K to key kappa(K), and reads the new row at w from the old row at
+  gamma(w), for an injective partial key map kappa and a weight map gamma
+  that are fixed and do not depend on the values.  The round trip is the
+  identity on A exactly when kappa and gamma are the identity.
+* Probes.  Number each position P = (m p**r + m') q + w, so
+  P < p**(2r+rprime).  Probe k, for k < 2r + rprime, is the element whose
+  value at P is the k-th base-p digit d_k(P).  Every value lies in
+  [0, p), so reduction mod p changes nothing, and a key whose row is all
+  zero is absent, on both sides of the comparison.
+* Weight probes, k < rprime: every key has the row d_k(w), which is
+  nonzero (at w = p**k).  If they are fixed, every key has a preimage, so
+  kappa is a permutation, and d_k(gamma(w)) = d_k(w) for every digit, so
+  gamma is the identity.
+* Key probes, rprime <= k: the row at key K is the constant d_k(P), a
+  digit of m' (X exponent) or of m (Y exponent), so any gamma keeps it,
+  and kappa(K) receives the constant of K.  If they are fixed, every
+  digit of kappa(K) equals the same digit of K, so kappa is the identity.
+
+So the 2r + rprime probes cover all p**(2r+rprime) basis elements.  The
+weight probes alone are not enough: they hold the same row at every key
+and cannot see a permutation of keys such as (m, m') -> (m', m).  A
+fault that depends on the values, not on the positions, lies outside the
+premise; the tests keep the loop over every basis element as the oracle.
+
 Each check returns its failures and the detail of a pass; `run_suite`'s
 table names every check, fixes the order and states each skip rule once.
 Nothing here prints or exits.
@@ -570,14 +602,19 @@ def _check_telescoping(ctx: AlgebraCtx) -> tuple[list[str], str]:
 
 
 def _check_frobenius_roundtrip(ctx: AlgebraCtx) -> tuple[list[str], str]:
+    # digit-probe lemma (module docstring): fixing the 2r + rprime probes
+    # fixes every one of the p**(2r+rprime) basis elements
+    p, n, q = ctx.p, ctx.xy_range, ctx.q
+    keys = list(itertools.product(range(n), repeat=2))
+    position = np.arange(n * n * q).reshape(n * n, q)  # P = (m p**r + m') q + w
+    digits = [("weight", j) for j in range(ctx.rprime)]
+    digits += [(side, j) for side in ("X-exponent", "Y-exponent") for j in range(ctx.r)]
     bad = []
-    for m in range(ctx.xy_range):
-        for mp_ in range(ctx.xy_range):
-            for n in range(ctx.q):
-                u = pbw_elem(m, n, mp_, ctx)
-                if fr(fr_prime(u)) != u:
-                    bad.append(f"basis ({m},{n},{mp_})")
-    return bad, f"{ctx.xy_range**2 * ctx.q} basis elements"
+    for k, (what, j) in enumerate(digits):
+        u = HyperElem(ctx, dict(zip(keys, position // p**k % p)))
+        if fr(fr_prime(u)) != u:
+            bad.append(f"probe {k} ({what} digit {j})")
+    return bad, f"{n * n * q} basis elements"
 
 
 def _check_associativity(ctx: AlgebraCtx, rng: random.Random) -> tuple[list[str], str]:

@@ -1,9 +1,10 @@
 """`run_suite`'s table, and a failing run of every check of the full suite.
 
 Each check test breaks one ingredient through `verify`'s namespace and reads
-the check's (failures, detail) directly.  The wiring test replaces every
-check by a recording stub and reads the table's names, order, skips and
-arguments on both sides of each skip rule.
+the check's (failures, detail) directly; the round-trip tests also run the
+loop over every basis element, the oracle of the digit-probe lemma.  The
+wiring test replaces every check by a recording stub and reads the table's
+names, order, skips and arguments on both sides of each skip rule.
 """
 
 import dataclasses
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from sl2hyper import verify
-from sl2hyper.algebra import AlgebraCtx, fr_prime, one, pbw_elem, zero
+from sl2hyper.algebra import AlgebraCtx, HyperElem, fr_prime, one, pbw_elem, zero
 from sl2hyper.fpoly import Poly
 from sl2hyper.idempotents import all_pairs, enumerate_labels, format_label, parse_label, weight_projector
 from sl2hyper.verify import CheckResult
@@ -123,11 +124,76 @@ def test_telescoping_fails_on_a_missing_inner_idempotent(monkeypatch):
     )
 
 
+def exhaustive_roundtrip_failures(ctx):
+    """fr(fr'(u)) = u on every basis element, through `verify`'s namespace:
+    the oracle of the digit-probe lemma (the `verify` module docstring)."""
+    bad = []
+    for m in range(ctx.xy_range):
+        for mp_ in range(ctx.xy_range):
+            for n in range(ctx.q):
+                u = pbw_elem(m, n, mp_, ctx)
+                if verify.fr(verify.fr_prime(u)) != u:
+                    bad.append(f"basis ({m},{n},{mp_})")
+    return bad
+
+
 def test_frobenius_roundtrip_fails_on_one_basis_element(monkeypatch):
+    # zeroing fr on one element depends on its values, which the digit-probe
+    # lemma's premise excludes: the probes cannot see it, and the oracle does
     real = verify.fr
     lifted = fr_prime(pbw_elem(1, 2, 0, CTX))
     monkeypatch.setattr(verify, "fr", lambda u: zero(CTX) if u == lifted else real(u))
-    assert verify._check_frobenius_roundtrip(CTX) == (["basis (1,2,0)"], "729 basis elements")
+    assert exhaustive_roundtrip_failures(CTX) == ["basis (1,2,0)"]
+    assert verify._check_frobenius_roundtrip(CTX) == ([], "729 basis elements")
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 1, 1)])
+def test_digit_probes_agree_with_the_exhaustive_oracle(p, r, rprime):
+    ctx = AlgebraCtx(p, r, rprime)
+    assert exhaustive_roundtrip_failures(ctx) == []
+    assert verify._check_frobenius_roundtrip(ctx) == ([], f"{p ** (2 * r + rprime)} basis elements")
+
+
+def _with_rows(v, rows):
+    return HyperElem(v.ctx, {key: f[rows] for key, f in v.terms.items()})
+
+
+def _swap_weight_digits(v):
+    # w = d0 + p d1 + p^2 rest  ->  d1 + p d0 + p^2 rest
+    p, w = v.ctx.p, np.arange(v.ctx.q)
+    return _with_rows(v, w - w % p**2 + w % p * p + w // p % p)
+
+
+# position mutations of fr at CTX = (3,2,2), with the probes that fail and
+# the number of the 729 basis elements that fail; probes 0-1 are the weight
+# digits, 2-3 the X-exponent (m') digits and 4-5 the Y-exponent (m) digits.
+# The weight probes hold the same row at every key, so transposed keys pass
+# them and fail on the key digits alone.
+FR_MUTATIONS = {
+    "transposed keys": (
+        lambda v: HyperElem(v.ctx, {(mp_, m): f for (m, mp_), f in v.terms.items()}),
+        [2, 3, 4, 5],
+        648,
+    ),
+    "rows rotated by one weight": (lambda v: _with_rows(v, (np.arange(v.ctx.q) + 1) % v.ctx.q), [0, 1], 648),
+    "weight digits swapped": (_swap_weight_digits, [0, 1], 486),
+    "key dropped": (
+        lambda v: HyperElem(v.ctx, {k: f for k, f in v.terms.items() if k != (0, 1)}),
+        [0, 1, 2],
+        9,
+    ),
+}
+PROBE_NAMES = ["weight digit 0", "weight digit 1"] + [f"{s}-exponent digit {j}" for s in "XY" for j in (0, 1)]
+
+
+@pytest.mark.parametrize("mutation", FR_MUTATIONS)
+def test_frobenius_roundtrip_fails_on_a_moved_position(monkeypatch, mutation):
+    mutate, probes, moved = FR_MUTATIONS[mutation]
+    real = verify.fr
+    monkeypatch.setattr(verify, "fr", lambda u: mutate(real(u)))
+    want = [f"probe {k} ({PROBE_NAMES[k]})" for k in probes]
+    assert verify._check_frobenius_roundtrip(CTX) == (want, "729 basis elements")
+    assert len(exhaustive_roundtrip_failures(CTX)) == moved
 
 
 def test_oracle_fails_on_a_wrong_weyl_action(monkeypatch):
