@@ -18,7 +18,10 @@ B_nu its coordinates are the Kronecker product of the pairs' level-1
 coordinates, and nu follows from the pairs' digits.  So each idempotent is
 built as one block from its coordinates, with no product of the algebra;
 `z_operator`, `embed` and the block projector stay public, and the tests
-keep their chain as the oracle of the construction.
+keep their chain as the oracle of the construction.  `z_operators` lifts a
+list of elements by one pair with one `algebra.products` call per factor,
+and `z_operator` is its one-item case, as `*` is the one-pair case of
+`products`.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .algebra import (
     gen_x,
     gen_y,
     one,
+    products,
     weight_coords,
     x_power,
     y_power,
@@ -64,6 +68,7 @@ __all__ = [
     "yx_expansion",
     "xy_expansion",
     "z_operator",
+    "z_operators",
     "tuple_idempotent",
     "enumerate_labels",
     "parse_label",
@@ -323,14 +328,26 @@ def z_operator(z: HyperElem, pair: PairAJ) -> HyperElem:
     """Lift z one level: the case-dependent map into the corner algebra of the pair.
 
     Cases B/D multiply the exponent-raised z by the level-1 idempotent;
-    cases A/C sandwich it between the window element and X^s.
+    cases A/C sandwich it between the window element and X^s.  The
+    one-item case of `z_operators`.
     """
-    p = z.ctx.p
-    tgt = AlgebraCtx(p, z.ctx.r + 1, z.ctx.rprime + 1)
-    lifted = fr_prime(z)
+    return z_operators([z], pair)[0]
+
+
+def z_operators(zs, pair: PairAJ) -> list[HyperElem]:
+    """[z_operator(z, pair) for z in zs], in one `products` call per factor:
+    lifted * e for cases B/D, (window * lifted) * X^s for cases A/C.
+    Raises ValueError unless every z lies in one context."""
+    lifted = [fr_prime(z) for z in zs]
+    if not lifted:
+        return []
+    tgt = lifted[0].ctx
     if pair.case in ("B", "D"):
-        return lifted * level1_idempotent(pair, tgt)
-    return _ac_window(pair, tgt) * lifted * x_power(recursion_shift(pair, p), tgt)
+        e = level1_idempotent(pair, tgt)
+        return products((u, e) for u in lifted)
+    window = _ac_window(pair, tgt)
+    xs = x_power(recursion_shift(pair, tgt.p), tgt)
+    return products((wu, xs) for wu in products((window, u) for u in lifted))
 
 
 @functools.lru_cache(maxsize=None)

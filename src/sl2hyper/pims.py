@@ -32,6 +32,9 @@ are all built through it.  It keeps a row-echelon basis, not a reduced
 one: a new row is cleared at its lowest index by that pivot's row until
 its lowest index is no pivot, and the basis rows are never touched again.
 Only ranks are read from it, and they do not depend on the reduction.
+IdealBasis.add_all reads the coordinates of a list of elements through one
+weightfn_to_coeffs call on the stack of all their torus factors and
+reduces the rows in order; add is its one-element case.
 """
 
 from __future__ import annotations
@@ -110,8 +113,17 @@ class IdealBasis:
 
     def add(self, v: HyperElem) -> bool:
         """Reduce v into the basis; True when the span grew, False when v
-        already lies in it (closure lemma: see left_ideal_span)."""
-        return self.add_coords(_elem_coords(v), v.ctx.p) is not None
+        already lies in it (closure lemma: see left_ideal_span).  The
+        one-element case of add_all."""
+        return self.add_all([v])[0]
+
+    def add_all(self, elements) -> list[bool]:
+        """[self.add(v) for v in elements]: every element's coordinates are
+        read through one weightfn_to_coeffs call, and the rows are reduced in
+        order.  Raises ValueError unless every element lies in one context."""
+        elements = list(elements)
+        rows = _elem_coords(elements)
+        return [self.add_coords(row, v.ctx.p) is not None for v, row in zip(elements, rows)]
 
     def add_coords(self, row: dict[int, int], p: int) -> dict[int, int] | None:
         """Reduce a sparse coordinate row (consumed) by its own pivots.
@@ -134,17 +146,24 @@ class IdealBasis:
         return row
 
 
-def _elem_coords(v: HyperElem) -> dict[int, int]:
+def _elem_coords(elements: list[HyperElem]) -> list[dict[int, int]]:
     # coordinate index of Y^(m) C(H,n) X^(m') is (m * p^r + m') * p^r' + n;
-    # one conversion of the stacked torus factors, in ascending index order
-    if v.is_zero():
-        return {}
-    ctx = v.ctx
-    keys, rows = zip(*v.terms.items())
+    # one conversion of every element's stacked torus factors, and each
+    # element's coordinates in ascending index order
+    if len({v.ctx for v in elements}) > 1:
+        raise ValueError("the elements do not all lie in one context")
+    terms = [v.terms for v in elements]
+    rows = [f for t in terms for f in t.values()]
+    if not rows:
+        return [{} for _ in elements]
+    ctx = elements[0].ctx
     c = weightfn_to_coeffs(np.stack(rows), ctx)
-    base = np.array([(m * ctx.xy_range + mp_) * ctx.q for m, mp_ in keys])
+    base = np.array([(m * ctx.xy_range + mp_) * ctx.q for t in terms for m, mp_ in t])
     k, n = np.nonzero(c)
-    return dict(zip((base[k] + n).tolist(), c[k, n].tolist()))
+    idx, val = (base[k] + n).tolist(), c[k, n].tolist()
+    # k ascends, so each element's entries are one run, cut at its first row
+    cuts = np.searchsorted(k, np.cumsum([0] + [len(t) for t in terms])).tolist()
+    return [dict(zip(idx[lo:hi], val[lo:hi])) for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _sub_multiple(row: dict[int, int], other: dict[int, int], coef: int, p: int) -> None:
@@ -216,7 +235,8 @@ def _ideal_pass(e: HyperElem, xsum: HyperElem) -> tuple[int, int, int]:
     pas = ctx.pascal.tolist()
     # coordinate idx of Y^(m) C(H,n) X^(m') lies in X^(b) e for b = m' - m - d0
     by_b: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for idx, val in _elem_coords(xsum * e).items():
+    (coords,) = _elem_coords([xsum * e])
+    for idx, val in coords.items():
         m, mp_ = divmod(idx // q, nmax)
         by_b.setdefault(mp_ - m - d0, {}).setdefault(m, []).append((idx, val))
     blocks: dict[int, IdealBasis] = {}

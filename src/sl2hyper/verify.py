@@ -130,6 +130,16 @@ and cannot see a permutation of keys such as (m, m') -> (m', m).  A
 fault that depends on the values, not on the positions, lies outside the
 premise; the tests keep the loop over every basis element as the oracle.
 
+The checks that multiply random elements (`frobenius-window-identities`,
+`lifting-operator-laws`, `associativity`, `multiplication-oracle`) draw
+them in a fixed order, form each layer of products that depend only on
+earlier layers in one `products` call (the lifts through
+`idempotents.z_operators`, one call per pair), and read their failures in
+the order of the draws.  A window identity or lifting law is a list of
+chains of factors that must multiply to equal elements (`_failed_laws`).
+`split-product-independence` ranks its products through one
+`IdealBasis.add_all`.
+
 Each check returns its failures and the detail of a pass; `run_suite`'s
 table names every check, fixes the order and states each skip rule once.
 Nothing here prints or exits.
@@ -186,7 +196,7 @@ from .idempotents import (
     xy_expansion,
     yx_coeff_table,
     yx_expansion,
-    z_operator,
+    z_operators,
 )
 from .modp import binom_mod_p, inv_mod_p
 from .pims import (
@@ -524,68 +534,102 @@ def _check_p_divided_center(ctx: AlgebraCtx) -> tuple[list[str], str]:
     return bad, ""
 
 
+def _failed_laws(laws: list[tuple[str, list[tuple]]]) -> list[str]:
+    """The failure of each law (failure, chains), in order, whose chains'
+    products f1 * f2 * ..., each multiplied left to right, are not all
+    equal; a chain of one element is that element.  The k-th products of
+    all the chains are one `products` call."""
+    chains = [c for _, cs in laws for c in cs]
+    ends = [c[0] for c in chains]
+    for k in range(1, max(map(len, chains), default=1)):
+        live = [i for i, c in enumerate(chains) if len(c) > k]
+        for i, uv in zip(live, products((ends[i], chains[i][k]) for i in live)):
+            ends[i] = uv
+    it = iter(ends)
+    bad = []
+    for msg, cs in laws:
+        first, *rest = [next(it) for _ in cs]
+        if any(v != first for v in rest):
+            bad.append(msg)
+    return bad
+
+
 def _check_window_identities(ctx: AlgebraCtx, rng: random.Random) -> tuple[list[str], str]:
+    # the draws keep their order, and each law is a list of chains
     p = ctx.p
     src = AlgebraCtx(p, ctx.r - 1, ctx.rprime - 1)
-    bad = []
-    for a in range(p):
-        mu = weight_projector(a, 1, ctx)
-        for b in range(a, p):
-            for _ in range(3):
-                z1, z2 = _rand_elem(rng, src, 2), _rand_elem(rng, src, 2)
-                lhs = mu * fr_prime(z1) * fr_prime(z2) * x_power(b, ctx)
-                rhs = mu * fr_prime(z1 * z2) * x_power(b, ctx)
-                if lhs != rhs:
-                    bad.append(f"product collapse fails at a={a}, b={b}")
-    for pr in all_pairs(p):
-        if pr.case not in ("A", "C"):
-            continue
-        s = recursion_shift(pr, p)
-        mu = weight_projector(pr.a, 1, ctx)
-        for m in range(min_yx_power(pr, p), p):
-            window = mu * y_power(m, ctx) * x_power(m - s, ctx)
-            for n in range(1, min(p ** (ctx.r - 1), 4)):
-                for u in (gen_x(n * p, ctx), gen_y(n * p, ctx)):
-                    if u * window != window * u:
-                        bad.append(f"({pr.a},{pr.two_j}) m={m}: X/Y^(np) fails")
-                h = gen_h_binom(n * p, ctx)
-                hprev = gen_h_binom((n - 1) * p, ctx) if n > 1 else one(ctx)
-                if window * h != (h + hprev) * window:
-                    bad.append(f"({pr.a},{pr.two_j}) m={m}: torus intertwining fails")
-    return bad, ""
+    mus = [weight_projector(a, 1, ctx) for a in range(p)]
+    draws = [
+        (a, b, _rand_elem(rng, src, 2), _rand_elem(rng, src, 2))
+        for a in range(p)
+        for b in range(a, p)
+        for _ in range(3)
+    ]
+    laws = [
+        (
+            f"product collapse fails at a={a}, b={b}",
+            [(mus[a], fr_prime(z1), fr_prime(z2), x_power(b, ctx)), (mus[a], fr_prime(z), x_power(b, ctx))],
+        )
+        for (a, b, z1, z2), z in zip(draws, products((z1, z2) for _, _, z1, z2 in draws))
+    ]
+    # the windows mu_a Y^(m) X^(m-s) of cases A/C
+    cases = [(pr, m) for pr in all_pairs(p) if pr.case in ("A", "C") for m in range(min_yx_power(pr, p), p)]
+    windows = products(
+        (my, x_power(m - recursion_shift(pr, p), ctx))
+        for (pr, m), my in zip(cases, products((mus[pr.a], y_power(m, ctx)) for pr, m in cases))
+    )
+    for (pr, m), w in zip(cases, windows):
+        name = f"({pr.a},{pr.two_j}) m={m}"
+        for n in range(1, min(p ** (ctx.r - 1), 4)):
+            laws += [(f"{name}: X/Y^(np) fails", [(u, w), (w, u)]) for u in (gen_x(n * p, ctx), gen_y(n * p, ctx))]
+            h = gen_h_binom(n * p, ctx)
+            hprev = gen_h_binom((n - 1) * p, ctx) if n > 1 else one(ctx)
+            laws.append((f"{name}: torus intertwining fails", [(w, h), (h + hprev, w)]))
+    return _failed_laws(laws), ""
 
 
 def _check_z_operator_laws(ctx: AlgebraCtx, rng: random.Random) -> tuple[list[str], str]:
+    # The draws keep their order: four trials per pair, then one cross pair
+    # per ordered pair of different pairs.  Each pair's lifts are one
+    # `z_operators` call, and each law is a list of chains.
     p = ctx.p
     base = AlgebraCtx(p, 1, 1)
     tgt = AlgebraCtx(p, 2, 2)
-    bad = []
     pairs = all_pairs(p)
+    draws = [(pr, pr) for pr in pairs for _ in range(4)] + [(a, b) for a in pairs for b in pairs if a != b]
+    draws = [(a, b, _rand_elem(rng, base, 2), _rand_elem(rng, base, 2)) for a, b in draws]
+    trials, cross = draws[: 4 * len(pairs)], draws[4 * len(pairs) :]
+    below = products(c for _, _, z1, z2 in trials for c in ((z1, z2), (gen_x(1, base), z1), (gen_y(1, base), z1)))
+    # each pair lifts the unit, then z1, z2, z1 z2, X z1 and Y z1 of each of
+    # its trials, then its side of each cross pair
+    todo = {pr: [one(base)] for pr in pairs}
+    for k, (pr, _, z1, z2) in enumerate(trials):
+        todo[pr] += [z1, z2, *below[3 * k : 3 * k + 3]]
+    for pr1, pr2, z1, z2 in cross:
+        todo[pr1].append(z1)
+        todo[pr2].append(z2)
+    lifted = {pr: iter(z_operators(zs, pr)) for pr, zs in todo.items()}
+    xp, yp = gen_x(p, tgt), gen_y(p, tgt)
+    laws = []
     for pr in pairs:
-        e_emb = embed(level1_idempotent(pr, base), tgt)
-        if z_operator(one(base), pr) != e_emb:
-            bad.append(f"unit image off for ({pr.a},{pr.two_j})")
+        e, name = embed(level1_idempotent(pr, base), tgt), f"({pr.a},{pr.two_j})"
+        laws.append((f"unit image off for {name}", [(next(lifted[pr]),), (e,)]))
         for _ in range(4):
-            z1 = _rand_elem(rng, base, 2)
-            z2 = _rand_elem(rng, base, 2)
-            zz = z_operator(z1, pr)
-            if zz * z_operator(z2, pr) != z_operator(z1 * z2, pr):
-                bad.append(f"multiplicativity fails for ({pr.a},{pr.two_j})")
-            if e_emb * zz != zz or zz * e_emb != zz:
-                bad.append(f"corner containment fails for ({pr.a},{pr.two_j})")
-            if gen_x(p, tgt) * zz != z_operator(gen_x(1, base) * z1, pr):
-                bad.append(f"X descent fails for ({pr.a},{pr.two_j})")
-            if gen_y(p, tgt) * zz != z_operator(gen_y(1, base) * z1, pr):
-                bad.append(f"Y descent fails for ({pr.a},{pr.two_j})")
-    for pr1 in pairs:
-        for pr2 in pairs:
-            if pr1 == pr2:
-                continue
-            z1 = _rand_elem(rng, base, 2)
-            z2 = _rand_elem(rng, base, 2)
-            if not (z_operator(z1, pr1) * z_operator(z2, pr2)).is_zero():
-                bad.append(f"cross product not zero: ({pr1.a},{pr1.two_j}) vs ({pr2.a},{pr2.two_j})")
-    return bad, ""
+            zz, w2, w12, wx, wy = [next(lifted[pr]) for _ in range(5)]
+            laws += [
+                (f"multiplicativity fails for {name}", [(zz, w2), (w12,)]),
+                (f"corner containment fails for {name}", [(e, zz), (zz, e), (zz,)]),
+                (f"X descent fails for {name}", [(xp, zz), (wx,)]),
+                (f"Y descent fails for {name}", [(yp, zz), (wy,)]),
+            ]
+    laws += [
+        (
+            f"cross product not zero: ({pr1.a},{pr1.two_j}) vs ({pr2.a},{pr2.two_j})",
+            [(next(lifted[pr1]), next(lifted[pr2])), (zero(tgt),)],
+        )
+        for pr1, pr2, _, _ in cross
+    ]
+    return _failed_laws(laws), ""
 
 
 def _check_telescoping(ctx: AlgebraCtx) -> tuple[list[str], str]:
@@ -629,15 +673,16 @@ def _check_associativity(ctx: AlgebraCtx, rng: random.Random) -> tuple[list[str]
 
 
 def _check_oracle(ctx: AlgebraCtx, rng: random.Random) -> tuple[list[str], str]:
-    p = ctx.p
+    # the draws keep their order, and every u v is one `products` call
+    p, n = ctx.p, 2 * ctx.xy_range - 1
+    draws = [(lam, _rand_elem(rng, ctx, 2), _rand_elem(rng, ctx, 2)) for lam in range(n) for _ in range(_PAIRS_PER_WEIGHT)]
     bad = []
-    for lam in range(2 * ctx.xy_range - 1):
-        for _ in range(_PAIRS_PER_WEIGHT):
-            u = _rand_elem(rng, ctx, 2)
-            v = _rand_elem(rng, ctx, 2)
-            if not np.array_equal(weyl_action(u * v, lam), weyl_action(u, lam) @ weyl_action(v, lam) % p):
-                bad.append(f"highest weight {lam}")
-    return bad, f"weights 0..{2 * ctx.xy_range - 2}"
+    for (lam, u, v), uv in zip(draws, products((u, v) for _, u, v in draws)):
+        a = weyl_action(u, lam)
+        k = np.flatnonzero(a.any(axis=0))  # exact: b's other rows meet zero columns of a
+        if not np.array_equal(weyl_action(uv, lam), a[:, k] @ weyl_action(v, lam)[k] % p):
+            bad.append(f"highest weight {lam}")
+    return bad, f"weights 0..{n - 1}"
 
 
 def _check_product_independence(p: int) -> tuple[list[str], str]:
@@ -649,8 +694,7 @@ def _check_product_independence(p: int) -> tuple[list[str], str]:
     us = [pbw_elem(m, n, mp_, big) for m, n, mp_ in exps]
     vs = [fr_prime(pbw_elem(m, n, mp_, small)) for m, n, mp_ in exps]
     basis = IdealBasis()
-    for uv in products((u, v) for u in us for v in vs):
-        basis.add(uv)
+    basis.add_all(products((u, v) for u in us for v in vs))
     rank = basis.dim
     return [] if rank == p**6 else [f"rank {rank} != {p**6}"], f"{p**6} products"
 

@@ -354,3 +354,25 @@ def test_dev_full_subprocess_streamed(stack):
     # the streamed JSON (10,673 bytes, more than one 8 KiB buffer) fails part
     # way, in a piece after the first
     _exit_on_dev_full(stack, ["idempotents", "--p", "3", "--r", "2", "--format", "json"])
+
+
+@pytest.mark.parametrize(
+    "argv, imported",
+    [
+        (["idempotents", "--p", "2", "--r", "1"], False),
+        (["pim-table", "--p", "2", "--r", "1"], False),
+        (["show", "--p", "2", "--r", "1", "--label", "1:0"], False),
+        (["verify", "--p", "2", "--r", "1"], True),
+    ],
+)
+def test_only_verify_imports_the_suites(argv, imported):
+    # a fresh process: the commands that run no suite neither compile nor
+    # import `verify`, and verify's seed is still the suites' default
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    code = "import sys; from sl2hyper.cli import main; main(sys.argv[1:]); print('sl2hyper.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    *out, last = proc.stdout.splitlines()
+    assert proc.returncode == 0 and last == str(imported)
+    if imported:
+        assert out[-1].endswith("seed=20240601]")

@@ -9,6 +9,7 @@ from sl2hyper.algebra import (
     AlgebraCtx,
     HyperElem,
     embed,
+    fr_prime,
     gen_x,
     gen_y,
     one,
@@ -39,6 +40,7 @@ from sl2hyper.idempotents import (
     yx_coeff_table,
     yx_expansion,
     z_operator,
+    z_operators,
 )
 from sl2hyper.modp import inv_mod_p
 
@@ -256,6 +258,32 @@ def test_z_operator_laws(p):
             if pr1 != pr2:
                 z1, z2 = rand_elem(rng, base), rand_elem(rng, base)
                 assert (z_operator(z1, pr1) * z_operator(z2, pr2)).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_z_operators_equal_their_one_item_cases(p):
+    # the batch against z_operator one item at a time and against its
+    # definition by `*`: fr'(z) e for cases B/D, window fr'(z) X^s for A/C
+    rng = random.Random(SEED + p)
+    base, tgt = AlgebraCtx(p, 1, 1), AlgebraCtx(p, 2, 2)
+    zs = [one(base), zero(base), *(rand_elem(rng, base, 1 + k % 3) for k in range(6)), one(base)]
+    for pr in all_pairs(p):
+        batch = z_operators(zs, pr)
+        assert batch == [z_operator(z, pr) for z in zs]
+        if pr.case in ("B", "D"):
+            assert batch == [fr_prime(z) * level1_idempotent(pr, tgt) for z in zs]
+        else:
+            xs = x_power(recursion_shift(pr, p), tgt)
+            assert batch == [idempotents._ac_window(pr, tgt) * fr_prime(z) * xs for z in zs]
+        assert batch[0] == embed(level1_idempotent(pr, base), tgt)
+        assert batch[1].is_zero() and batch[1].ctx == tgt
+        assert z_operators([], pr) == [] and z_operators(iter(zs[2:4]), pr) == batch[2:4]
+
+
+def test_z_operators_reject_mixed_contexts():
+    pr = all_pairs(3)[0]
+    with pytest.raises(ValueError, match="context mismatch"):
+        z_operators([one(AlgebraCtx(3, 1, 1)), one(AlgebraCtx(3, 2, 2))], pr)
 
 
 def test_window_product_collapse():

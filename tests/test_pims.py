@@ -238,6 +238,36 @@ def test_ideal_basis_add_reports_growth():
     assert basis.dim == len(vs)
 
 
+@pytest.mark.parametrize("p, r, rprime", [(2, 1, 2), (3, 1, 1), (3, 2, 2), (5, 1, 2)])
+def test_add_all_matches_repeated_add(p, r, rprime):
+    # the same rows and the same growth, element by element, as one add per
+    # element; zeros, repeats and combinations of earlier elements included
+    ctx = AlgebraCtx(p, r, rprime)
+    rng = random.Random(p * 100 + r * 10 + rprime)
+    vs = [zero(ctx)]
+    for k in range(40):
+        if k % 5 == 4:
+            vs.append(sum((rng.randrange(p) * v for v in rng.sample(vs, 3)), zero(ctx)))
+        else:
+            m, mp_ = rng.randrange(ctx.xy_range), rng.randrange(ctx.xy_range)
+            vs.append(pbw_elem(m, rng.randrange(ctx.q), mp_, ctx) * gen_h_binom(rng.randrange(ctx.q), ctx))
+    vs += [vs[3], zero(ctx)]
+    one_by_one, batched = IdealBasis(), IdealBasis()
+    grew = [one_by_one.add(v) for v in vs]
+    assert batched.add_all(iter(vs)) == grew
+    assert batched.rows == one_by_one.rows and batched.dim == sum(grew) < len(vs)
+    assert batched.add_all([]) == [] and batched.add_all([zero(ctx)] * 2) == [False, False]
+
+
+def test_add_all_rejects_mixed_contexts():
+    basis = IdealBasis()
+    with pytest.raises(ValueError, match="one context"):
+        basis.add_all([one(AlgebraCtx(3, 1, 1)), one(AlgebraCtx(3, 2, 2))])
+    with pytest.raises(ValueError, match="one context"):
+        basis.add_all([zero(AlgebraCtx(3, 1, 1)), zero(AlgebraCtx(3, 2, 2))])
+    assert basis.dim == 0
+
+
 def dense_rank(rows, p):
     # Gauss-Jordan elimination over F_p on dense lists, independent of IdealBasis
     rows = [[v % p for v in row] for row in rows]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl2hyper import cli, verify
+from sl2hyper import cli, pims, verify
 from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_x, one, pbw_elem, zero
 from sl2hyper.idempotents import (
     enumerate_labels,
@@ -470,6 +470,148 @@ def test_associativity_failure_names_its_trial(monkeypatch):
     failures, detail = verify._check_associativity(ctx, random.Random(1))
     assert calls == [400, 400]
     assert failures == ["trial 137"] and detail == "200 random triples"
+
+
+def break_one_product(monkeypatch, call, item):
+    """Patch `verify.products` to record each call's length and to add 1 to
+    product `item` of call number `call` (counted from 1)."""
+    real, calls = verify.products, []
+
+    def broken(pairs):
+        out = real(pairs)
+        calls.append(len(out))
+        if len(calls) == call:
+            out[item] = out[item] + one(out[item].ctx)
+        return out
+
+    monkeypatch.setattr(verify, "products", broken)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "call, item, failure",
+    [
+        (1, 0, "product collapse fails at a=0, b=0"),  # z1 z2 of draw 0
+        (4, 44, "(1,0) m=2: X/Y^(np) fails"),  # window law 4 (window 0, n = 2, Y), left
+        (4, 71, "(2,2) m=2: torus intertwining fails"),  # window law 17, right
+        (5, 2 * 7 + 1, "product collapse fails at a=0, b=2"),  # the right side of draw 7
+        (6, 7, "product collapse fails at a=0, b=2"),  # the left side of draw 7
+    ],
+)
+def test_window_identities_form_each_layer_in_one_call(monkeypatch, call, item, failure):
+    # z1 z2 of the 18 draws, then mu Y^(m) and X^(m-s) of the 3 windows, then
+    # the k-th products of every law's chains: the 18 collapse laws' two sides
+    # (4 and 3 factors) and the 18 window laws' two sides (2 factors)
+    ctx = AlgebraCtx(3, 2, 2)
+    assert verify._check_window_identities(ctx, random.Random(1)) == ([], "")
+    calls = break_one_product(monkeypatch, call, item)
+    assert verify._check_window_identities(ctx, random.Random(1)) == ([failure], "")
+    assert calls == [18, 3, 3, 72, 36, 18]
+
+
+LIFTS = 31  # lifts per pair at p = 3: the unit, 4 trials of 5, 10 cross sides
+
+
+@pytest.mark.parametrize(
+    "call, item, failure",
+    [
+        (1, 3 * 9 + 1, "X descent fails for (1,0)"),  # X z1 of trial 9: pair 2, trial 1
+        (2, 5 * 22 + 2, "corner containment fails for (2,2)"),  # zz e of trial 22: pair 5
+        (2, 5 * 24 + 7, "cross product not zero: (0,2) vs (1,2)"),  # cross pair 7
+    ],
+)
+def test_lifting_laws_form_each_layer_in_one_call(monkeypatch, call, item, failure):
+    # z1 z2, X z1 and Y z1 of the 24 trials in one call, one `z_operators`
+    # call per pair, then the trials' 120 products and the 30 cross products
+    ctx = AlgebraCtx(3, 2, 2)
+    pairs = verify.all_pairs(3)
+    assert verify._check_z_operator_laws(ctx, random.Random(1)) == ([], "")
+    calls = break_one_product(monkeypatch, call, item)
+    real, lifts = verify.z_operators, []
+    monkeypatch.setattr(verify, "z_operators", lambda zs, pr: lifts.append((pr, len(zs))) or real(zs, pr))
+    assert verify._check_z_operator_laws(ctx, random.Random(1)) == ([failure], "")
+    assert calls == [72, 150]
+    assert lifts == [(pr, LIFTS) for pr in pairs]
+
+
+def z_operator_laws_one_at_a_time(ctx, rng, lift):
+    """The lifting laws with one `lift(z, pair)` per image and one product per
+    `*`, in the order of the draws: the reference order of the failures."""
+    p = ctx.p
+    base, tgt = AlgebraCtx(p, 1, 1), AlgebraCtx(p, 2, 2)
+    pairs = verify.all_pairs(p)
+    bad = []
+    for pr in pairs:
+        e_emb = verify.embed(verify.level1_idempotent(pr, base), tgt)
+        if lift(one(base), pr) != e_emb:
+            bad.append(f"unit image off for ({pr.a},{pr.two_j})")
+        for _ in range(4):
+            z1, z2 = verify._rand_elem(rng, base, 2), verify._rand_elem(rng, base, 2)
+            zz = lift(z1, pr)
+            if zz * lift(z2, pr) != lift(z1 * z2, pr):
+                bad.append(f"multiplicativity fails for ({pr.a},{pr.two_j})")
+            if e_emb * zz != zz or zz * e_emb != zz:
+                bad.append(f"corner containment fails for ({pr.a},{pr.two_j})")
+            if gen_x(p, tgt) * zz != lift(gen_x(1, base) * z1, pr):
+                bad.append(f"X descent fails for ({pr.a},{pr.two_j})")
+            if verify.gen_y(p, tgt) * zz != lift(verify.gen_y(1, base) * z1, pr):
+                bad.append(f"Y descent fails for ({pr.a},{pr.two_j})")
+    for pr1 in pairs:
+        for pr2 in pairs:
+            if pr1 != pr2:
+                z1, z2 = verify._rand_elem(rng, base, 2), verify._rand_elem(rng, base, 2)
+                if not (lift(z1, pr1) * lift(z2, pr2)).is_zero():
+                    bad.append(f"cross product not zero: ({pr1.a},{pr1.two_j}) vs ({pr2.a},{pr2.two_j})")
+    return bad
+
+
+# (pair, draw): pair k's trial t draws z1, z2 at 2 (4k + t) and 2 (4k + t) + 1,
+# and cross pair j draws at 48 + 2j (pr1's side) and 48 + 2j + 1 (pr2's)
+@pytest.mark.parametrize(
+    "pair, draw",
+    [
+        (4, None),  # the unit image of pair 4
+        (2, 18),  # z1 of pair 2, trial 1
+        (5, 47),  # z2 of pair 5, trial 3
+        (0, 48),  # pr1's side of cross pair 0, (0,0) vs (0,2)
+        (2, 83),  # pr2's side of cross pair 17, (1,2) vs (1,0)
+        (3, "all"),  # every image of pair 3: its unit, trials and cross pairs
+    ],
+)
+def test_a_wrong_lift_fails_in_the_order_of_the_draws(monkeypatch, pair, draw):
+    # one image (or all of one pair's) off by 1: the batched check names the
+    # same failures, in the same order, as the laws checked one product at a time
+    ctx = AlgebraCtx(3, 2, 2)
+    base = AlgebraCtx(3, 1, 1)
+    pr = verify.all_pairs(3)[pair]
+    replay = random.Random(1)
+    draws = [verify._rand_elem(replay, base, 2) for _ in range(2 * (4 * 6 + 30))]
+    target = one(base) if draw is None else None if draw == "all" else draws[draw]
+
+    def wrong(z, pr_):
+        hit = pr_ == pr and (draw == "all" or z == target)
+        return one(ctx) if hit else zero(ctx)
+
+    real = verify.z_operators
+    monkeypatch.setattr(verify, "z_operators", lambda zs, pr_: [w + wrong(z, pr_) for z, w in zip(zs, real(zs, pr_))])
+    want = z_operator_laws_one_at_a_time(ctx, random.Random(1), lambda z, pr_: real([z], pr_)[0] + wrong(z, pr_))
+    assert want
+    assert verify._check_z_operator_laws(ctx, random.Random(1)) == (want, "")
+
+
+def test_oracle_forms_its_products_in_one_call(monkeypatch):
+    ctx = AlgebraCtx(3, 2, 2)
+    calls = break_one_product(monkeypatch, 1, 3 * 5 + 1)
+    assert verify._check_oracle(ctx, random.Random(1)) == (["highest weight 5"], "weights 0..16")
+    assert calls == [3 * 17]
+
+
+def test_split_product_rank_reads_its_coordinates_in_one_conversion(monkeypatch):
+    real, shapes = pims.weightfn_to_coeffs, []
+    monkeypatch.setattr(pims, "weightfn_to_coeffs", lambda f, c: shapes.append(f.shape) or real(f, c))
+    calls = break_one_product(monkeypatch, 0, 0)
+    assert verify._check_product_independence(3) == ([], "729 products")
+    assert calls == [729] and len(shapes) == 1 and shapes[0][1] == 9
 
 
 @pytest.mark.parametrize("p, r, rprime", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (3, 2, 2), (5, 2, 2)])
