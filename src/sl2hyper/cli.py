@@ -9,22 +9,24 @@ including the seed.
 JSON output is the compact sorted `json.dumps(payload, sort_keys=True,
 separators=(",", ":"))` plus a newline.  `idempotents` and `show` write
 that text byte for byte through `_entry_json`, one entry at a time, without
-building the payload: each distinct torus factor's `h_eval` list is encoded
-once per command, keyed by the factor's bytes.  The memo is keyed by
-content, so it is right for any element; it pays because, by the
-weight-space lemma (`algebra.weight_coords`), the torus factor of a
-weight-nu idempotent's term Y^(m) X^(m) has one nonzero entry, at
-(nu + 2m) mod q, so at most (p - 1) * q distinct rows occur (162 of the
-28,561 rows at (3,4,4)).  Text `idempotents` shares one such memo across
-all its `format_element` calls.
+building the payload or the element: coordinates first.  By the
+weight-space lemma (`algebra.weight_coords`) a weight-nu idempotent is
+sum_m x_m beta_m, so its term Y^(m) X^(m) has the torus factor whose one
+nonzero entry is x_m, at the weight (nu + 2m) mod q; the label's (nu, x)
+from `idempotents.tuple_coords` therefore fixes every byte of its entry.
+Each distinct `h_eval` list is encoded once per command, in a memo keyed
+by (weight, value): at most (p - 1) * q occur (162 of the 28,561 terms at
+(3,4,4)).  Text `idempotents` builds each element from its coordinates as
+its block is written and drops it, and shares one memo by row content
+across all its `format_element` calls.
 
 `idempotents` streams its output: `_emit` takes an iterable of string
 pieces and writes them in order, and the command yields the JSON header,
 then one entry at a time, then the trailer (in text, one label block at a
-time), so the whole output is never held as one string.  Every element is
-built before the first piece is written, so a command that fails while
-building leaves an `--out` file untouched.  `verify`, `pim-table` and
-`show` pass one string.
+time), so the whole output is never held as one string.  Every label's
+coordinates are computed, in one `tuple_coords` call, before the first
+piece is written, so a command that fails while computing them leaves an
+`--out` file untouched.  `verify`, `pim-table` and `show` pass one string.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ import json
 import os
 import sys
 
-from .algebra import AlgebraCtx, format_element
+from .algebra import AlgebraCtx, format_element, from_weight_coords
 from .idempotents import (
     LabelError,
     enumerate_labels,
     format_label,
     parse_label,
+    tuple_coords,
     tuple_idempotent,
 )
 from .pims import pim_rows
@@ -139,49 +142,52 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _entry_json(name: str, e, rows: dict) -> str:
+def _entry_json(name: str, ctx: AlgebraCtx, nu: int, x, rows: dict) -> str:
     """`_json_dumps({"element": element_to_json(e), "label": name})`, less
-    its newline.  `rows` maps the bytes of each torus factor to its
-    `h_eval` text; a factor is read with `tolist` only when it is new."""
-    ctx = e.ctx
+    its newline, for e = from_weight_coords(ctx, nu, x), written from (nu, x)
+    without building e; x has entries in 0..p-1, as `tuple_coords` gives.
+    The term Y^(m) X^(m) of e has the torus factor whose one nonzero entry
+    is x[m], at the weight (nu + 2m) mod q (weight-space lemma); `rows` maps
+    each (weight, value) to the text `{"h_eval":[...],"xexp":`, formed once."""
+    q = ctx.q
+    ms = x.nonzero()[0]
     terms = []
-    for (m, mp_), f in e.terms.items():
-        text = rows.get(key := f.tobytes())
-        if text is None:
-            text = rows[key] = json.dumps(f.tolist(), separators=(",", ":"))
-        terms.append(f'{{"h_eval":{text},"xexp":{mp_},"yexp":{m}}}')
+    for m, w, value in zip(ms.tolist(), ((nu + 2 * ms) % q).tolist(), x[ms].tolist()):
+        head = rows.get((w, value))
+        if head is None:
+            head = rows[w, value] = f'{{"h_eval":[{"0," * w}{value}{",0" * (q - 1 - w)}],"xexp":'
+        terms.append(f'{head}{m},"yexp":{m}}}')
     return (
         f'{{"element":{{"p":{ctx.p},"r":{ctx.r},"rprime":{ctx.rprime},'
         f'"terms":[{",".join(terms)}]}},"label":{json.dumps(name)}}}'
     )
 
 
-def _idempotents_json(ctx: AlgebraCtx, entries: list):
+def _idempotents_json(ctx: AlgebraCtx, labels: list, nus, xs):
     rows: dict = {}
-    yield f'{{"count":{len(entries)},"idempotents":['
-    for i, (name, e) in enumerate(entries):
-        yield ("," if i else "") + _entry_json(name, e, rows)
+    yield f'{{"count":{len(labels)},"idempotents":['
+    for i, (label, nu, x) in enumerate(zip(labels, nus.tolist(), xs)):
+        yield ("," if i else "") + _entry_json(format_label(label), ctx, nu, x, rows)
     yield f'],"p":{ctx.p},"r":{ctx.r},"rprime":{ctx.rprime}}}\n'
 
 
-def _idempotents_text(entries: list):
+def _idempotents_text(ctx: AlgebraCtx, labels: list, nus, xs):
+    # one element at a time: each is built as its block is written, then dropped
     memo: dict = {}
-    for name, e in entries:
-        lines = format_element(e, memo).splitlines()
-        yield f"label {name}:\n" + "".join(f"  {ln}\n" for ln in lines)
-    yield f"count: {len(entries)}\n"
+    for label, nu, x in zip(labels, nus.tolist(), xs):
+        lines = format_element(from_weight_coords(ctx, nu, x), memo).splitlines()
+        yield f"label {format_label(label)}:\n" + "".join(f"  {ln}\n" for ln in lines)
+    yield f"count: {len(labels)}\n"
 
 
 def _cmd_idempotents(args: argparse.Namespace) -> int:
     ctx = _context(args)
     labels = enumerate_labels(ctx)
-    entries = [(format_label(lb), tuple_idempotent(lb, ctx)) for lb in labels]
-    if args.format == "json":
-        _emit(_idempotents_json(ctx, entries), args.out)
-    else:
-        _emit(_idempotents_text(entries), args.out)
+    nus, xs = tuple_coords(labels, ctx)
+    write = _idempotents_json if args.format == "json" else _idempotents_text
+    _emit(write(ctx, labels, nus, xs), args.out)
     if args.out is not None:
-        _emit(f"{len(entries)} idempotents written to {args.out}\n", None)
+        _emit(f"{len(labels)} idempotents written to {args.out}\n", None)
     return EXIT_OK
 
 
@@ -262,10 +268,11 @@ def _cmd_pim_table(args: argparse.Namespace) -> int:
 def _cmd_show(args: argparse.Namespace) -> int:
     ctx = _context(args)
     label = parse_label(args.label, ctx)
-    e = tuple_idempotent(label, ctx)
     if args.format == "json":
-        _emit(_entry_json(format_label(label), e, {}) + "\n", args.out)
+        nus, xs = tuple_coords([label], ctx)
+        _emit(_entry_json(format_label(label), ctx, int(nus[0]), xs[0], {}) + "\n", args.out)
     else:
+        e = tuple_idempotent(label, ctx)
         _emit(f"label {format_label(label)}:\n" + format_element(e) + "\n", args.out)
     return EXIT_OK
 

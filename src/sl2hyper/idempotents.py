@@ -12,16 +12,18 @@ case-dependent operator that sandwiches the exponent-multiplying splitting
 of the Frobenius map between window elements; iterating it over a tuple of
 pairs, and cutting by a torus block projector when the torus range exceeds
 the divided-power range, yields the complete family of pairwise orthogonal
-primitive idempotents summing to 1.  The *tensor lemma* (`tuple_idempotent`)
+primitive idempotents summing to 1.  The *tensor lemma* (`tuple_coords`)
 gives that iteration's result in closed form: in the weight-space algebra
 B_nu its coordinates are the Kronecker product of the pairs' level-1
-coordinates, and nu follows from the pairs' digits.  So each idempotent is
-built as one block from its coordinates, with no product of the algebra;
-`z_operator`, `embed` and the block projector stay public, and the tests
-keep their chain as the oracle of the construction.  `z_operators` lifts a
-list of elements by one pair with one `algebra.products` call per factor,
-and `z_operator` is its one-item case, as `*` is the one-pair case of
-`products`.
+coordinates, and nu follows from the pairs' digits.  Coordinates first:
+`tuple_coords` computes (nu, x) for a whole list of labels as one int64
+weight array and one int16 (N, p**r) table, with no element and no product
+of the algebra, and `tuple_idempotent` is its one-item case, built as one
+block by `algebra.from_weight_coords` (and cached).  `z_operator`, `embed`
+and the block projector stay public, and the tests keep their chain as the
+oracle of the construction.  `z_operators` lifts a list of elements by one
+pair with one `algebra.products` call per factor, and `z_operator` is its
+one-item case, as `*` is the one-pair case of `products`.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ __all__ = [
     "xy_expansion",
     "z_operator",
     "z_operators",
+    "tuple_coords",
     "tuple_idempotent",
     "enumerate_labels",
     "parse_label",
@@ -353,24 +356,28 @@ def z_operators(zs, pair: PairAJ) -> list[HyperElem]:
 @functools.lru_cache(maxsize=None)
 def _level1_coords(pair: PairAJ, p: int) -> np.ndarray:
     # w[m] = c_m (m!)**2 mod p: the B_a coordinates of the level-1 idempotent
-    # (see `yx_expansion`); shared by every label, so read-only
-    w = np.zeros(p, dtype=np.int64)
+    # (see `yx_expansion`); int32, the dtype `tuple_coords` multiplies in;
+    # shared by every label, so read-only
+    w = np.zeros(p, dtype=np.int32)
     for m, cm in enumerate(yx_coeff_table(pair, p)):
         w[m] = cm * factorial_mod_p(m, p) ** 2 % p
     w.setflags(write=False)
     return w
 
 
-@functools.lru_cache(maxsize=None)
-def tuple_idempotent(label: TupleLabel, ctx: AlgebraCtx) -> HyperElem:
-    """The primitive idempotent of a full label in the given context.
+def tuple_coords(labels, ctx: AlgebraCtx) -> tuple[np.ndarray, np.ndarray]:
+    """(nus, xs): the B_nu coordinates of the idempotents of `labels`, by the
+    tensor lemma, with no element built.
 
-    The construction starts from the level-1 idempotent of pairs[-1],
-    applies `z_operator` for pairs[-2], ..., pairs[0] in the minimal
-    contexts AlgebraCtx(p, k, k) (so pairs[0] is the least-significant
-    digit), embeds the result in ctx, and cuts it by
-    `upper_block_projector(aprime)` when the label carries one.  It is
-    built here in closed form by the tensor lemma, with no product.
+    nus is an int64 array of the N weights and xs an (N, p**r) int16 table
+    whose row i is the coordinate vector x of labels[i], so that
+    from_weight_coords(ctx, nus[i], xs[i]) is its idempotent.  int16, not
+    int8, holds x exactly by the storage lemma (`algebra`): every entry lies
+    below p, and p <= 4093 < 2**15.  The Kronecker products are formed for
+    all labels at once, one factor per step, multiplied in int32 and reduced
+    mod p after each step (p**2 < 2**31).  Raises ValueError for a label
+    with the wrong number of pairs, with aprime present or absent against
+    the context, or with a weight outside 0..q-1 (aprime out of range).
 
     Tensor lemma.  For a pair pi let w_pi[j] = c_j (j!)**2 mod p, j < p,
     with c = yx_coeff_table(pi, p): the B_a coordinates of
@@ -414,19 +421,48 @@ def tuple_idempotent(label: TupleLabel, ctx: AlgebraCtx) -> HyperElem:
 
     The tests keep that chain as the oracle of this construction.
     """
-    if len(label.pairs) != ctx.r:
-        raise ValueError(f"label has {len(label.pairs)} pairs, context needs {ctx.r}")
-    if (label.aprime is None) != (ctx.rprime == ctx.r):
-        raise ValueError("aprime must be present exactly when rprime > r")
-    p, ps = ctx.p, ctx.xy_range
-    # x = w_(pi_(r-1)) (x) ... (x) w_(pi_0); for vectors, np.kron(u, v) is
-    # np.outer(u, v).ravel(), without kron's general-shape overhead
-    x = _level1_coords(label.pairs[0], p)
-    for pair in label.pairs[1:]:
-        x = np.outer(_level1_coords(pair, p), x).ravel() % p
-    b = [pr.a - p if pr.case in ("A", "C") else pr.a for pr in label.pairs]
-    nu = sum(bk * p**k for k, bk in enumerate(b)) % ps + ps * (label.aprime or 0)
-    return from_weight_coords(ctx, nu, x)
+    p, r, ps, q = ctx.p, ctx.r, ctx.xy_range, ctx.q
+    rows, nus = [], []
+    for label in labels:
+        pairs = label.pairs
+        if len(pairs) != r:
+            raise ValueError(f"label has {len(pairs)} pairs, context needs {r}")
+        if (label.aprime is None) != (ctx.rprime == r):
+            raise ValueError("aprime must be present exactly when rprime > r")
+        b = 0  # sum_k b_k p**k, by Horner from the top digit
+        for pr in reversed(pairs):
+            b = b * p + (pr.a - p if pr.case in ("A", "C") else pr.a)
+            rows.append(_level1_coords(pr, p))
+        nu = b % ps + ps * (label.aprime or 0)
+        if not 0 <= nu < q:
+            raise ValueError(f"weight {nu} out of range 0..{q - 1}")
+        nus.append(nu)
+    # w[i, j] = w_(pi_(r-1-j)) of labels[i], top digit first, so that
+    # x = w[i, 0] (x) ... (x) w[i, r-1]: one Kronecker factor per step, all
+    # labels at once
+    n = len(nus)
+    w = np.array(rows, dtype=np.int32).reshape(n, r, p)
+    x = w[:, 0]
+    for j in range(1, r):
+        x = (x[:, :, None] * w[:, j, None, :]).reshape(n, p ** (j + 1)) % p
+    return np.array(nus, dtype=np.int64), x.astype(np.int16)
+
+
+@functools.lru_cache(maxsize=None)
+def tuple_idempotent(label: TupleLabel, ctx: AlgebraCtx) -> HyperElem:
+    """The primitive idempotent of a full label in the given context.
+
+    The construction starts from the level-1 idempotent of pairs[-1],
+    applies `z_operator` for pairs[-2], ..., pairs[0] in the minimal
+    contexts AlgebraCtx(p, k, k) (so pairs[0] is the least-significant
+    digit), embeds the result in ctx, and cuts it by
+    `upper_block_projector(aprime)` when the label carries one.  It is
+    built here in closed form by the tensor lemma (`tuple_coords`), with no
+    product: the one-item case of `tuple_coords`, as `*` is the one-pair
+    case of `products`.
+    """
+    nus, xs = tuple_coords((label,), ctx)
+    return from_weight_coords(ctx, int(nus[0]), xs[0])
 
 
 def enumerate_labels(ctx: AlgebraCtx) -> list[TupleLabel]:

@@ -9,7 +9,13 @@ import pytest
 from sl2hyper import cli
 from sl2hyper.algebra import AlgebraCtx, element_from_json, element_to_json
 from sl2hyper.cli import main
-from sl2hyper.idempotents import enumerate_labels, format_label, parse_label, tuple_idempotent
+from sl2hyper.idempotents import (
+    enumerate_labels,
+    format_label,
+    parse_label,
+    tuple_coords,
+    tuple_idempotent,
+)
 
 
 def run(capsys, *argv):
@@ -79,20 +85,53 @@ def test_json_writer_matches_payload_dumps(capsys, tmp_path, p, r, rprime):
 
 @pytest.mark.parametrize("p, r, rprime", [(3, 4, 4), (5, 2, 3)], ids=str)
 def test_entry_json_is_the_dump_of_its_entry(p, r, rprime):
-    # one shared memo across all entries, keyed by the bytes of each factor
+    # the writer reads each label's (nu, x) alone; one shared memo across all
+    # entries, keyed by the (weight, value) of each torus factor
     ctx = AlgebraCtx(p, r, rprime)
+    labels = enumerate_labels(ctx)
+    nus, xs = tuple_coords(labels, ctx)
     rows: dict = {}
-    for lb in enumerate_labels(ctx):
+    for lb, nu, x in zip(labels, nus.tolist(), xs):
         name, e = format_label(lb), tuple_idempotent(lb, ctx)
         want = cli._json_dumps({"element": element_to_json(e), "label": name})
-        assert cli._entry_json(name, e, rows) + "\n" == want
-    assert len(rows) < sum(len(tuple_idempotent(lb, ctx).terms) for lb in enumerate_labels(ctx))
+        assert cli._entry_json(name, ctx, nu, x, rows) + "\n" == want
+    assert len(rows) < sum(len(tuple_idempotent(lb, ctx).terms) for lb in labels)
+    assert len(rows) <= (p - 1) * ctx.q
+
+
+def test_show_json_past_int8(capsys):
+    # at p = 131 a coordinate of 5:2 is 129, which int8 would wrap
+    ctx = AlgebraCtx(131, 1, 1)
+    label = parse_label("5:2", ctx)
+    assert int(tuple_coords([label], ctx)[1].max()) > 127
+    code, out, _ = run(capsys, "show", "--p", "131", "--r", "1", "--label", "5:2", "--format", "json")
+    element = element_to_json(tuple_idempotent(label, ctx))
+    assert code == 0 and out == cli._json_dumps({"element": element, "label": "5:2"})
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_failing_coordinates_keep_the_out_file(capsys, monkeypatch, tmp_path, fmt):
+    # every label's coordinates are computed before the first piece is
+    # written, so a build that fails leaves an existing --out file as it was
+    def failing(labels, ctx):
+        raise ValueError("no coordinates")
+
+    monkeypatch.setattr(cli, "tuple_coords", failing)
+    kept = tmp_path / "kept.json"
+    kept.write_bytes(b"old contents\n")
+    with pytest.raises(ValueError, match="no coordinates"):
+        main(["idempotents", "--p", "3", "--r", "2", "--format", fmt, "--out", str(kept)])
+    assert kept.read_bytes() == b"old contents\n"
+    assert capsys.readouterr().out == ""
 
 
 # Peak of the Python heap (tracemalloc, numpy's buffers included) while
 # `idempotents` at (3,3,3) runs in a fresh interpreter, stdout on a sink that
 # counts bytes.  Before int16 storage and the streamed write the peaks were
-# 1,673,680 B (JSON) and 2,016,611 B (text); after, 897,313 B and 908,272 B.
+# 1,673,680 B (JSON) and 2,016,611 B (text).  With every element built
+# before the write they were 593,437 B and 601,904 B; written from the
+# labels' coordinates, with no element held (JSON) or one at a time
+# (text), both are about 340,000 B (Python 3.11).
 _TRACE_PEAK = """
 import sys, tracemalloc
 from sl2hyper.cli import main
@@ -113,7 +152,9 @@ print(code, n, peak)
 """
 
 
-@pytest.mark.parametrize("fmt, nbytes, bound", [("json", 205010, 1_300_000), ("text", 207238, 1_450_000)])
+@pytest.mark.parametrize(
+    "fmt, nbytes, bound", [("json", 205010, 450_000), ("text", 207238, 450_000)], ids=["json", "text"]
+)
 def test_idempotents_output_memory(fmt, nbytes, bound):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

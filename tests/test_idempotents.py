@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from sl2hyper.algebra import (
     AlgebraCtx,
     HyperElem,
     embed,
+    from_weight_coords,
     fr_prime,
     gen_x,
     gen_y,
@@ -30,6 +32,7 @@ from sl2hyper.idempotents import (
     min_yx_power,
     parse_label,
     recursion_shift,
+    tuple_coords,
     tuple_idempotent,
     upper_block_projector,
     weight_projector,
@@ -410,6 +413,55 @@ def test_construction_forms_no_product(monkeypatch):
         for label in enumerate_labels(ctx):
             assert not tuple_idempotent(label, ctx).is_zero()
     assert calls == {"mul": 0, "z_operator": 0, "fr_prime": 0}
+
+
+@pytest.mark.parametrize(
+    "p, r, rp", [(2, 1, 1), (2, 2, 3), (3, 2, 3), (5, 2, 2), (7, 1, 2), (3, 4, 4)], ids=str
+)
+def test_tuple_coords_are_the_coordinates_of_each_idempotent(p, r, rp):
+    # one table for the whole family: row i is weight_coords of label i, and
+    # tuple_idempotent is its one-item case
+    ctx = AlgebraCtx(p, r, rp)
+    labels = enumerate_labels(ctx)
+    nus, xs = tuple_coords(labels, ctx)
+    assert (nus.dtype, xs.dtype) == (np.int64, np.int16)
+    assert nus.shape == (len(labels),) and xs.shape == (len(labels), ctx.xy_range)
+    for label, nu, x in zip(labels, nus.tolist(), xs):
+        e = tuple_idempotent(label, ctx)
+        want_nu, want_x = weight_coords(e)
+        assert nu == want_nu and x.tolist() == want_x.tolist(), format_label(label)
+        assert e == from_weight_coords(ctx, nu, x)
+    one_nus, one_xs = tuple_coords(iter(labels[-1:]), ctx)
+    assert one_nus.tolist() == nus[-1:].tolist() and one_xs.tolist() == xs[-1:].tolist()
+
+
+def test_tuple_coords_of_no_labels():
+    ctx = AlgebraCtx(3, 2, 3)
+    nus, xs = tuple_coords([], ctx)
+    assert (nus.shape, xs.shape) == ((0,), (0, 9))
+    assert (nus.dtype, xs.dtype) == (np.int64, np.int16)
+
+
+@pytest.mark.parametrize(
+    "ctx, label",
+    [
+        (AlgebraCtx(2, 2, 2), TupleLabel((make_pair(1, 0, 2),), None)),
+        (AlgebraCtx(2, 2, 2), TupleLabel((make_pair(1, 0, 2),) * 3, None)),
+        (AlgebraCtx(2, 2, 2), TupleLabel((make_pair(1, 0, 2),) * 2, 0)),
+        (AlgebraCtx(3, 1, 2), TupleLabel((make_pair(1, 0, 3),), None)),
+        (AlgebraCtx(3, 1, 2), TupleLabel((make_pair(1, 0, 3),), 3)),
+        (AlgebraCtx(3, 1, 2), TupleLabel((make_pair(2, 0, 3),), -1)),
+    ],
+    ids=["too-few-pairs", "too-many-pairs", "aprime-without-room", "no-aprime", "aprime-too-large", "aprime-negative"],
+)
+def test_tuple_coords_reject_what_tuple_idempotent_rejects(ctx, label):
+    # the same ValueError, with the same message, also after valid labels
+    with pytest.raises(ValueError) as one:
+        tuple_idempotent(label, ctx)
+    good = enumerate_labels(ctx)[:2]
+    with pytest.raises(ValueError) as bulk:
+        tuple_coords([*good, label, *good], ctx)
+    assert str(bulk.value) == str(one.value)
 
 
 def test_tuple_validation():
