@@ -16,9 +16,9 @@ nonzero entry is x_m, at the weight (nu + 2m) mod q; the label's (nu, x)
 from `idempotents.tuple_coords` therefore fixes every byte of its entry.
 Each distinct `h_eval` list is encoded once per command, in a memo keyed
 by (weight, value): at most (p - 1) * q occur (162 of the 28,561 terms at
-(3,4,4)).  Text `idempotents` builds each element from its coordinates as
-its block is written and drops it, and shares one memo by row content
-across all its `format_element` calls.
+(3,4,4)).  In text, `idempotents` and `show` build each element from its
+coordinates as it is written and drop it, and `idempotents` shares one
+memo by row content across all its `format_element` calls.
 
 `idempotents` streams its output: `_emit` takes an iterable of string
 pieces and writes them in order, and the command yields the JSON header,
@@ -45,7 +45,6 @@ from .idempotents import (
     format_label,
     parse_label,
     tuple_coords,
-    tuple_idempotent,
 )
 from .pims import pim_rows
 
@@ -268,12 +267,12 @@ def _cmd_pim_table(args: argparse.Namespace) -> int:
 def _cmd_show(args: argparse.Namespace) -> int:
     ctx = _context(args)
     label = parse_label(args.label, ctx)
+    nus, xs = tuple_coords([label], ctx)
+    nu, x, name = int(nus[0]), xs[0], format_label(label)
     if args.format == "json":
-        nus, xs = tuple_coords([label], ctx)
-        _emit(_entry_json(format_label(label), ctx, int(nus[0]), xs[0], {}) + "\n", args.out)
+        _emit(_entry_json(name, ctx, nu, x, {}) + "\n", args.out)
     else:
-        e = tuple_idempotent(label, ctx)
-        _emit(f"label {format_label(label)}:\n" + format_element(e) + "\n", args.out)
+        _emit(f"label {name}:\n" + format_element(from_weight_coords(ctx, nu, x)) + "\n", args.out)
     return EXIT_OK
 
 

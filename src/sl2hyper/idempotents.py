@@ -456,10 +456,10 @@ def tuple_idempotent(label: TupleLabel, ctx: AlgebraCtx) -> HyperElem:
     applies `z_operator` for pairs[-2], ..., pairs[0] in the minimal
     contexts AlgebraCtx(p, k, k) (so pairs[0] is the least-significant
     digit), embeds the result in ctx, and cuts it by
-    `upper_block_projector(aprime)` when the label carries one.  It is
-    built here in closed form by the tensor lemma (`tuple_coords`), with no
-    product: the one-item case of `tuple_coords`, as `*` is the one-pair
-    case of `products`.
+    `upper_block_projector(aprime)` when the label carries one.  Here it
+    is the one-item case of the tensor lemma (`tuple_coords`).  Its cache
+    serves single labels and perfbench's tracer; bulk readers take
+    `tuple_coords` rows.
     """
     nus, xs = tuple_coords((label,), ctx)
     return from_weight_coords(ctx, int(nus[0]), xs[0])

@@ -17,8 +17,9 @@ Products keep the degree m' - m, so for homogeneous e
 which needs only the p**r elements X^(b) e; Y^(a) acts on their
 coordinates.  The same elements give the top X exponent, the largest b
 with X^(b) e nonzero, so pim_rows reads weight, dimension and top X in one
-pass.  left_ideal_span (the closure under the algebra generators) and
-top_x_exponent stay public as its oracles; the weight is read from supports.
+pass, from each label's `tuple_coords` row.  left_ideal_span (the closure
+under the algebra generators) and top_x_exponent stay public as its
+oracles; the weight is read from supports.
 
 All p**r elements come from one product, by the *grading lemma*.  Let
 S = sum_{b < p**r} X^(b).  X^(b) has degree b and a product adds degrees
@@ -32,9 +33,6 @@ are all built through it.  It keeps a row-echelon basis, not a reduced
 one: a new row is cleared at its lowest index by that pivot's row until
 its lowest index is no pivot, and the basis rows are never touched again.
 Only ranks are read from it, and they do not depend on the reduction.
-IdealBasis.add_all reads the coordinates of a list of elements through one
-weightfn_to_coeffs call on the stack of all their torus factors and
-reduces the rows in order; add is its one-element case.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ import numpy as np
 from .algebra import (
     AlgebraCtx,
     HyperElem,
+    from_weight_coords,
     gen_h_binom,
     gen_x,
     gen_y,
@@ -57,7 +56,7 @@ from .idempotents import (
     enumerate_labels,
     format_label,
     min_xy_power,
-    tuple_idempotent,
+    tuple_coords,
 )
 from .modp import binom_mod_p, inv_mod_p
 
@@ -326,10 +325,10 @@ def pim_rows(ctx: AlgebraCtx) -> list[dict]:
     """One verification row per label: predicted vs computed module data."""
     out = []
     xsum = _x_sum(ctx)
-    for label in enumerate_labels(ctx):
-        e = tuple_idempotent(label, ctx)
+    labels = enumerate_labels(ctx)
+    for label, w, x in zip(labels, *tuple_coords(labels, ctx)):
         pl = pim_label_closed_form(label, ctx)
-        nu, dim, t = _ideal_pass(e, xsum)
+        nu, dim, t = _ideal_pass(from_weight_coords(ctx, w, x), xsum)
         ok = (dim, nu, t) == (pl.dim, predicted_weight(label, ctx), predicted_top_x(label, ctx.p))
         out.append(
             {

@@ -33,7 +33,9 @@ degree-0 terms commute with the torus.  Hence:
   over max(a, b) <= c <= a + b with c < p**r (from c = p**r on, Y^(a)
   Y^(b-i) carries out of the top base-p digit, so C(c,a) = 0 mod p).
   Here a + b - c < p**r, so by the periodicity lemma (below) the last
-  factor depends on nu + a + b mod p**r only.  This holds for every p,
+  factor depends on nu + a + b mod p**r only, and so B_nu's structure
+  constants and Frobenius matrix depend on nu mod p**r only: the
+  certificate forms that matrix once per residue.  This holds for every p,
   p = 2 with r = rprime included.  The formula is symmetric in a and b,
   so B_nu is commutative and Frob: x |-> x^p is F_p-linear on B_nu; row a
   of its matrix is beta_a^p, formed by p - 1 left multiplications by beta_a.
@@ -70,10 +72,14 @@ orthogonality and primitivity without a product of two idempotents.
   Hom_A(A x_k, L(mu)) = x_k L(mu), x_k acts diagonally on the v_i, and
   End_A L(mu) = F_p.
 
-So each idempotent is read into p**r scalars, and no product of the
-algebra is formed after construction.  `orthogonality` decides its N(N-1)
-ordered products by the weight-space lemma for each pair of different
-weights and by the characters for each pair of the same weight.  A row
+So each idempotent is p**r scalars, its row (nu, x) of
+`idempotents.tuple_coords` (the tensor lemma), and the basic suite
+certifies those rows: it builds no element and forms no product of the
+algebra.  `certify_decomposition` reads a given family into the same rows
+with `weight_coords`, and both run one certificate.  `orthogonality`
+decides its N(N-1) ordered products by the weight-space lemma for each
+pair of different weights and by the characters for each pair of the
+same weight.  A row
 that is not Frobenius-fixed is not idempotent (x^2 = x gives x^p = x), and
 its products are not decided.  A non-primitive idempotent fails
 `label-count`.  So does a primitive x_k whose one character chi_(mu,i) = 1
@@ -138,7 +144,9 @@ earlier layers in one `products` call (the lifts through
 the order of the draws.  A window identity or lifting law is a list of
 chains of factors that must multiply to equal elements (`_failed_laws`).
 `split-product-independence` ranks its products through one
-`IdealBasis.add_all`.
+`IdealBasis.add_all`.  `top-x-exponent`, `partial-sum-telescoping` and
+`pim-census` read their idempotents from one `tuple_coords` call and
+build each element from its row only as they use it.
 
 Each check returns its failures and the detail of a pass; `run_suite`'s
 table names every check, fixes the order and states each skip rule once.
@@ -162,6 +170,7 @@ from .algebra import (
     embed,
     fr,
     fr_prime,
+    from_weight_coords,
     gen_h_binom,
     gen_x,
     gen_y,
@@ -190,6 +199,7 @@ from .idempotents import (
     min_xy_power,
     min_yx_power,
     recursion_shift,
+    tuple_coords,
     tuple_idempotent,
     weight_projector,
     xy_coeff_table,
@@ -343,8 +353,9 @@ def certify_decomposition(
 ) -> list[CheckResult]:
     """The basic suite's certificate of a labeled family of idempotents.
 
-    Each element is read once (`weight_coords`); idempotency, orthogonality
-    and primitivity are decided in the weight-space algebras B_nu by the
+    Each element is read once (`weight_coords`) into its B_nu coordinates,
+    and the certificate is decided on them (`_certificate`): idempotency,
+    orthogonality and primitivity in the weight-space algebras B_nu by the
     character lemma (module docstring), and so is their sum.  A
     non-primitive idempotent fails the label count, named by its label, and
     so does a primitive one whose projective cover is not the label's
@@ -358,7 +369,36 @@ def certify_decomposition(
         raise ValueError(f"{len(labels)} labels for {len(elements)} elements")
     if any(e.ctx != ctx for e in elements):
         raise ValueError(f"an element lies outside {ctx}")
-    p = ctx.p
+    coords: list[tuple[int, np.ndarray] | str] = []
+    for e in elements:
+        try:
+            coords.append(weight_coords(e))
+        except ValueError as exc:
+            coords.append(str(exc))
+    degrees = [sorted({mp_ - m for m, mp_ in e.terms}) for e in elements]
+    return _certificate(ctx, labels, coords, degrees)
+
+
+# The certificate forms the Frobenius matrices of about this many int64
+# entries at a time: max(1, _FROB_ENTRIES // p**(2r)) residues mod p**r.
+_FROB_ENTRIES = 1 << 20
+
+
+def _certificate(
+    ctx: AlgebraCtx, labels: list[TupleLabel], coords: list, degrees: list[list[int]]
+) -> list[CheckResult]:
+    """The certificate of `certify_decomposition` on coordinates: coords[i]
+    is labels[i]'s (nu, x), with x of length p**r and entries in 0..p-1, or
+    the reason its element could not be read, and degrees[i] is the sorted
+    list of that element's degrees.  `run_suite` passes the rows of
+    `tuple_coords`, of degree 0 by construction.
+
+    By the periodicity lemma (module docstring) the Frobenius matrix of B_nu
+    depends on nu mod p**r only, so it is formed once per residue that
+    occurs, a bounded number of residues at a time (`_FROB_ENTRIES`), and
+    every weight of a chunk is decided before the next chunk is formed.
+    """
+    p, ps = ctx.p, ctx.xy_range
     names = [format_label(lb) for lb in labels]
     # one idempotent per unit of simple-module dimension, for each of the
     # p**(rprime - r) values of a': by Steinberg dim L(lam) = prod_k (lam_k + 1)
@@ -375,59 +415,59 @@ def certify_decomposition(
     unread, bad_weight = [], []
     weights = [predicted_weight(lb, ctx) for lb in labels]
     by_weight: dict[int, list[int]] = {}
-    rows: dict[int, list[np.ndarray]] = {}
-    for i, (name, e) in enumerate(zip(names, elements)):
-        try:
-            nu, x = weight_coords(e)
-        except ValueError as exc:
-            unread.append(f"{name} {exc}")
+    for i, (name, c) in enumerate(zip(names, coords)):
+        if isinstance(c, str):
+            unread.append(f"{name} {c}")
             continue
+        nu = c[0]
         if nu != weights[i]:
             bad_weight.append(f"{name}: weight {nu} != {weights[i]}")
         by_weight.setdefault(nu, []).append(i)
-        rows.setdefault(nu, []).append(x)
-    coords = {nu: np.array(xs) for nu, xs in rows.items()}
-    frob = weight_space_frobenius(ctx, sorted(coords))
+    by_residue: dict[int, list[int]] = {}
+    for nu in by_weight:
+        by_residue.setdefault(nu % ps, []).append(nu)
+    residues = sorted(by_residue)
+    step = max(1, _FROB_ENTRIES // ps**2)
     chars = weight_space_characters(ctx)
+    # sum to one in coordinates (module docstring): each weight's rows sum to beta_0
+    beta_0 = np.eye(1, ps, dtype=np.int64)[0]
+    sums_to_one = len(by_weight) == ctx.q
     not_idem, unfixed, not_orth, not_primitive, bad_cover = [], [], [], [], []
-    for nu, x in coords.items():
-        idx = by_weight[nu]
-        fixed = (x @ frob[nu] % p == x).all(axis=1)
-        values = x @ chars[nu][1].T % p  # values[k, l] = chi_l(x_k)
-        idem = fixed & (values <= 1).all(axis=1)
-        hits = (values != 0) & fixed[:, None]  # a row that is not fixed decides nothing
-        meet = (hits[:, None] & hits).any(axis=2)
-        not_idem += [idx[k] for k in np.flatnonzero(~idem)]
-        unfixed += [idx[k] for k in np.flatnonzero(~fixed)]
-        not_orth += [(idx[k], idx[l]) for k, l in np.argwhere(meet) if k != l]
-        not_primitive += [idx[k] for k in np.flatnonzero(idem & (hits.sum(axis=1) != 1))]
-        # identification: chi_(mu,i) = 1 on a primitive e gives e L(mu) != 0, so A e
-        # is the projective cover P(mu); a row off its label's weight fails `weights`
-        for k in np.flatnonzero(idem & (hits.sum(axis=1) == 1)):
-            j, mu = idx[k], chars[nu][0][hits[k].argmax()][0]
-            pl = pim_label_closed_form(labels[j], ctx)
-            want = pl.lambda_prime + ctx.xy_range * pl.lambda_double_prime
-            if nu == weights[j] and mu != want:
-                bad_cover.append((j, f"{names[j]}: cover P({mu}) != P({want})"))
+    for lo in range(0, len(residues), step):
+        for res, frob in weight_space_frobenius(ctx, residues[lo : lo + step]).items():
+            for nu in by_residue[res]:
+                idx = by_weight[nu]
+                x = np.array([coords[i][1] for i in idx], dtype=np.int64)
+                fixed = (x @ frob % p == x).all(axis=1)
+                values = x @ chars[nu][1].T % p  # values[k, l] = chi_l(x_k)
+                idem = fixed & (values <= 1).all(axis=1)
+                hits = (values != 0) & fixed[:, None]  # a row that is not fixed decides nothing
+                meet = (hits[:, None] & hits).any(axis=2)
+                not_idem += [idx[k] for k in np.flatnonzero(~idem)]
+                unfixed += [idx[k] for k in np.flatnonzero(~fixed)]
+                not_orth += [(idx[k], idx[l]) for k, l in np.argwhere(meet) if k != l]
+                not_primitive += [idx[k] for k in np.flatnonzero(idem & (hits.sum(axis=1) != 1))]
+                # identification: chi_(mu,i) = 1 on a primitive e gives e L(mu) != 0, so A e
+                # is the projective cover P(mu); a row off its label's weight fails `weights`
+                for k in np.flatnonzero(idem & (hits.sum(axis=1) == 1)):
+                    j, mu = idx[k], chars[nu][0][hits[k].argmax()][0]
+                    pl = pim_label_closed_form(labels[j], ctx)
+                    want = pl.lambda_prime + ps * pl.lambda_double_prime
+                    if nu == weights[j] and mu != want:
+                        bad_cover.append((j, f"{names[j]}: cover P({mu}) != P({want})"))
+                sums_to_one = sums_to_one and np.array_equal(x.sum(axis=0) % p, beta_0)
     bad_idem = unread + [f"{names[i]} not idempotent" for i in sorted(not_idem)]
     bad_orth = unread + [f"{names[i]} not Frobenius-fixed, products not decided" for i in sorted(unfixed)]
     bad_orth += [f"{names[i]} * {names[j]} != 0" for i, j in sorted(not_orth)]
     bad_count += [f"{names[i]} not primitive" for i in sorted(not_primitive)]
     bad_count += [msg for _, msg in sorted(bad_cover)]
-
-    # sum to one in coordinates (module docstring): each weight's rows sum to beta_0
-    beta_0 = np.eye(1, ctx.xy_range, dtype=np.int64)[0]
-    sums_to_one = len(coords) == ctx.q and all(
-        np.array_equal(x.sum(axis=0) % p, beta_0) for x in coords.values()
-    )
     # a sum with an unread element is not decided in coordinates
     bad_sum = unread or ([] if sums_to_one else ["sum differs from 1"])
-    degrees = [sorted({mp_ - m for m, mp_ in e.terms}) for e in elements]
     bad_degree = [f"{name} has degrees {ds}" for name, ds in zip(names, degrees) if ds != [0]]
     return [
         _result("label-count", bad_count, f"{len(labels)} labels = sum of simple dimensions"),
-        _result("idempotency", bad_idem, f"{len(elements)} elements"),
-        _result("orthogonality", bad_orth, f"{len(elements) * (len(elements) - 1)} products"),
+        _result("idempotency", bad_idem, f"{len(coords)} elements"),
+        _result("orthogonality", bad_orth, f"{len(coords) * (len(coords) - 1)} products"),
         _result("sum-to-one", bad_sum),
         _result("weights", unread + bad_weight),
         _result("degree-zero", bad_degree),
@@ -635,11 +675,14 @@ def _check_z_operator_laws(ctx: AlgebraCtx, rng: random.Random) -> tuple[list[st
 def _check_telescoping(ctx: AlgebraCtx) -> tuple[list[str], str]:
     p = ctx.p
     inner_ctx = AlgebraCtx(p, ctx.r, ctx.r)
+    pairs = all_pairs(p)
+    # the labels of inner_ctx come in runs that share their first pair pr0
+    rows = zip(*tuple_coords(enumerate_labels(inner_ctx), inner_ctx))
     bad = []
-    for pr0 in all_pairs(p):
+    for pr0 in pairs:
         total = zero(inner_ctx)
-        for inner in itertools.product(all_pairs(p), repeat=ctx.r - 1):
-            total = total + tuple_idempotent(TupleLabel((pr0, *inner), None), inner_ctx)
+        for nu, x in itertools.islice(rows, len(pairs) ** (ctx.r - 1)):
+            total = total + from_weight_coords(inner_ctx, nu, x)
         if total != embed(level1_idempotent(pr0, AlgebraCtx(p, 1, 1)), inner_ctx):
             bad.append(f"inner sum misses the level-1 idempotent of ({pr0.a},{pr0.two_j})")
     return bad, ""
@@ -701,9 +744,9 @@ def _check_product_independence(p: int) -> tuple[list[str], str]:
 
 def _check_top_x(ctx: AlgebraCtx) -> tuple[list[str], str]:
     bad = []
-    for lb in enumerate_labels(ctx):
-        e = tuple_idempotent(lb, ctx)
-        t = top_x_exponent(e)
+    labels = enumerate_labels(ctx)
+    for lb, nu, x in zip(labels, *tuple_coords(labels, ctx)):
+        t = top_x_exponent(from_weight_coords(ctx, nu, x))
         if t != predicted_top_x(lb, ctx.p):
             bad.append(f"{format_label(lb)}: {t} != {predicted_top_x(lb, ctx.p)}")
     return bad, ""
@@ -774,7 +817,9 @@ def run_suite(ctx: AlgebraCtx, suite: str = "basic", seed: int = DEFAULT_SEED) -
         ("weight-projector-binomial-form", None, _check_mu_binomial_form, (ctx,)),
     ])
     labels = enumerate_labels(ctx)
-    results += certify_decomposition(ctx, labels, [tuple_idempotent(lb, ctx) for lb in labels])
+    nus, xs = tuple_coords(labels, ctx)
+    # the rows of the tensor lemma have degree 0 by construction
+    results += _certificate(ctx, labels, list(zip(nus.tolist(), xs)), [[0]] * len(labels))
     if suite == "full":
         p, ambient = ctx.p, ctx.xy_range**2 * ctx.q
         table_case = "table case, skipped" if p == 2 else None

@@ -114,9 +114,17 @@ def test_lifting_laws_fail_on_a_scaled_embedding(monkeypatch):
 
 
 def test_telescoping_fails_on_a_missing_inner_idempotent(monkeypatch):
-    real = verify.tuple_idempotent
+    # the row of one label is zeroed, so its idempotent is missing from the sum
+    real = verify.tuple_coords
     gone = enumerate_labels(CTX)[4]
-    monkeypatch.setattr(verify, "tuple_idempotent", lambda lb, c: zero(c) if lb == gone else real(lb, c))
+
+    def without_gone(labels, c):
+        labels = list(labels)
+        nus, xs = real(labels, c)
+        xs[labels.index(gone)] = 0
+        return nus, xs
+
+    monkeypatch.setattr(verify, "tuple_coords", without_gone)
     pr0 = gone.pairs[0]
     assert verify._check_telescoping(CTX) == (
         [f"inner sum misses the level-1 idempotent of ({pr0.a},{pr0.two_j})"],
@@ -214,7 +222,7 @@ def test_top_x_fails_on_a_wrong_exponent(monkeypatch):
     real = verify.top_x_exponent
     lb = enumerate_labels(CTX)[5]
     e = verify.tuple_idempotent(lb, CTX)
-    monkeypatch.setattr(verify, "top_x_exponent", lambda u: real(u) + (u is e))
+    monkeypatch.setattr(verify, "top_x_exponent", lambda u: real(u) + (u == e))
     t = verify.predicted_top_x(lb, 3)
     assert verify._check_top_x(CTX) == ([f"{format_label(lb)}: {t + 1} != {t}"], "")
 
@@ -325,11 +333,11 @@ def test_the_table_names_orders_and_skips_every_check(monkeypatch, p, r, rprime,
     for _, fn, _, _ in BASIC_TABLE + FULL_TABLE:
         monkeypatch.setattr(verify, fn, stub(fn))
 
-    def certificate(c, labels, elements):
-        calls.append(("certify_decomposition", (c, len(labels), len(elements))))
+    def certificate(c, labels, rows, degrees):
+        calls.append(("_certificate", (c, len(labels), len(rows))))
         return [CheckResult("certificate", False, "stub")]
 
-    monkeypatch.setattr(verify, "certify_decomposition", certificate)
+    monkeypatch.setattr(verify, "_certificate", certificate)
     n = len(enumerate_labels(ctx))
     for suite, table in [("basic", BASIC_TABLE), ("full", BASIC_TABLE + FULL_TABLE)]:
         calls.clear()
@@ -342,7 +350,7 @@ def test_the_table_names_orders_and_skips_every_check(monkeypatch, p, r, rprime,
         assert [(c.name, c.passed, c.detail) for c in res] == want
         # skipped stubs are not called; the rest run in table order with their arguments
         run = [(fn, kinds) for _, fn, kinds, skip in rows if not skip]
-        run.insert(2, ("certify_decomposition", None))
+        run.insert(2, ("_certificate", None))
         assert [fn for fn, _ in calls] == [fn for fn, _ in run]
         rngs = []
         for (fn, args), (_, kinds) in zip(calls, run):

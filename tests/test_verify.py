@@ -18,6 +18,7 @@ from sl2hyper.algebra import AlgebraCtx, HyperElem, gen_x, one, pbw_elem, zero
 from sl2hyper.idempotents import (
     enumerate_labels,
     format_label,
+    tuple_coords,
     tuple_idempotent,
     weight_projector,
 )
@@ -450,6 +451,95 @@ def test_unmatched_or_foreign_input_is_rejected_before_any_work(monkeypatch):
         certify_decomposition(ctx, labels, es[:-1])
     with pytest.raises(ValueError, match="outside"):
         certify_decomposition(ctx, labels, es[:-1] + [one(AlgebraCtx(3, 2, 2))])
+
+
+def coord_rows(ctx, labels):
+    nus, xs = tuple_coords(labels, ctx)
+    return list(zip(nus.tolist(), xs))
+
+
+def row_certificate(ctx, labels, rows):
+    # the rows of the tensor lemma have degree 0, as run_suite passes them
+    return verify._certificate(ctx, labels, rows, [[0]] * len(labels))
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 1, 1), (2, 2, 3), (3, 2, 3), (3, 1, 4), (5, 2, 2), (7, 1, 2)])
+def test_certificate_on_rows_matches_the_element_route(p, r, rprime):
+    ctx = AlgebraCtx(p, r, rprime)
+    labels, es = family(ctx)
+    got = row_certificate(ctx, labels, coord_rows(ctx, labels))
+    assert got == certify_decomposition(ctx, labels, es)
+    assert all(c.passed for c in got), got
+
+
+def test_broken_rows_fail_by_the_labels_of_the_element_route():
+    # a scaled row, two swapped weights and a dropped label, each broken
+    # alike in the rows and in the built family
+    ctx = AlgebraCtx(3, 2, 3)
+    labels, es = family(ctx)
+    rows = coord_rows(ctx, labels)
+    nus = [nu for nu, _ in rows]
+    j = next(k for k in range(1, len(rows)) if nus[k] != nus[0])
+    scaled_rows, scaled_es = rows.copy(), es.copy()
+    scaled_rows[0], scaled_es[0] = (nus[0], 2 * rows[0][1] % 3), 2 * es[0]
+    swapped_rows, swapped_es = rows.copy(), es.copy()
+    swapped_rows[0], swapped_rows[j] = rows[j], rows[0]
+    swapped_es[0], swapped_es[j] = es[j], es[0]
+    for names, lbs, broken_rows, broken_es in [
+        ({"idempotency", "sum-to-one"}, labels, scaled_rows, scaled_es),
+        ({"weights"}, labels, swapped_rows, swapped_es),
+        ({"label-count", "sum-to-one"}, labels[1:], rows[1:], es[1:]),
+    ]:
+        got = row_certificate(ctx, lbs, broken_rows)
+        assert got == certify_decomposition(ctx, lbs, broken_es)
+        assert {c.name for c in got if not c.passed} == names
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 1, 3), (2, 2, 3), (3, 1, 3), (3, 2, 3), (5, 1, 2)])
+def test_frobenius_matrix_depends_on_the_weight_mod_p_to_the_r(p, r, rprime):
+    # periodicity lemma (verify's module docstring): the product lemma reads
+    # nu only through (nu + a + b) mod p**r
+    ctx = AlgebraCtx(p, r, rprime)
+    frob = weight_space_frobenius(ctx, list(range(ctx.q)))
+    for nu in range(ctx.q):
+        (want,) = weight_space_frobenius(ctx, [nu % ctx.xy_range]).values()
+        assert np.array_equal(frob[nu], want), nu
+
+
+@pytest.mark.parametrize("p, r, rprime", [(2, 2, 3), (3, 2, 3)])
+def test_one_residue_per_frobenius_chunk_keeps_the_basic_results(monkeypatch, p, r, rprime):
+    # the certificate forms the Frobenius matrices once per residue mod p**r,
+    # in chunks; with the bound at one residue per chunk the results stay
+    ctx = AlgebraCtx(p, r, rprime)
+    real, calls = verify.weight_space_frobenius, []
+    monkeypatch.setattr(verify, "weight_space_frobenius", lambda c, nus: calls.append(nus) or real(c, nus))
+    want = verify.run_suite(ctx, "basic")
+    assert calls == [list(range(ctx.xy_range))]
+    calls.clear()
+    monkeypatch.setattr(verify, "_FROB_ENTRIES", 1)
+    assert verify.run_suite(ctx, "basic") == want
+    assert calls == [[res] for res in range(ctx.xy_range)]
+    assert all(c.passed for c in want), want
+
+
+def test_bulk_readers_leave_the_idempotent_cache_empty(capsys):
+    # the family is read from tuple_coords, and built one element at a time
+    ctx = AlgebraCtx(3, 2, 3)
+    show = ["show", "--p", "3", "--r", "2", "--rprime", "3", "--label", format_label(enumerate_labels(ctx)[5])]
+    for run in [
+        lambda: verify.run_suite(ctx, "basic"),
+        lambda: pims.pim_rows(ctx),
+        lambda: cli.main(show),
+        lambda: cli.main(show + ["--format", "json"]),
+    ]:
+        tuple_idempotent.cache_clear()
+        run()
+        assert tuple_idempotent.cache_info().currsize == 0
+    # the full suite builds the 8 elements of its JSON round trips alone
+    tuple_idempotent.cache_clear()
+    assert all(c.passed for c in verify.run_suite(AlgebraCtx(3, 2, 2), "full"))
+    assert tuple_idempotent.cache_info().currsize <= 8
+    capsys.readouterr()
 
 
 def test_associativity_failure_names_its_trial(monkeypatch):
